@@ -8,8 +8,11 @@
 // Raw cycles/sec is hardware-dependent, so every run also times a fixed
 // pure-Go calibration loop (refScore). The gated quantity is
 // cycles/sec ÷ refScore — simulated cycles per unit of local compute —
-// which transfers across machines of different speeds. Allocations per
-// simulated cycle are hardware-independent and gated strictly.
+// which transfers across machines of different speeds. Throughput is
+// gated per scheme (one geomean for baseline, one for ACB), so a baseline
+// win cannot mask an ACB loss. Allocations per simulated cycle are
+// hardware-independent and gated strictly, per (workload, scheme) row;
+// every row of the committed snapshot must be present in the new run.
 //
 // Usage:
 //
@@ -21,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -36,12 +40,12 @@ import (
 
 // Snapshot is the serialized benchmark result set.
 type Snapshot struct {
-	GoVersion string         `json:"go_version"`
-	GOARCH    string         `json:"goarch"`
-	Budget    int64          `json:"budget"`
-	RefScore  float64        `json:"ref_score"` // calibration loop iterations/sec
-	Rows      []WorkloadRow  `json:"workloads"`
-	Geomean   GeomeanSummary `json:"geomean"`
+	GoVersion string                   `json:"go_version"`
+	GOARCH    string                   `json:"goarch"`
+	Budget    int64                    `json:"budget"`
+	RefScore  float64                  `json:"ref_score"` // calibration loop iterations/sec
+	Rows      []WorkloadRow            `json:"workloads"`
+	Schemes   map[string]SchemeSummary `json:"schemes"`
 }
 
 // WorkloadRow is one (workload, scheme) measurement.
@@ -57,14 +61,19 @@ type WorkloadRow struct {
 	AllocsPerKCyc float64 `json:"allocs_per_kcycle"`
 }
 
-// GeomeanSummary aggregates the gated quantities.
-type GeomeanSummary struct {
-	NormalizedCPS float64 `json:"normalized_cps"`
-	AllocsPerKCyc float64 `json:"allocs_per_kcycle"` // arithmetic mean (zeros are legal)
+// SchemeSummary aggregates one scheme's rows.
+type SchemeSummary struct {
+	NormalizedCPSGeomean float64 `json:"normalized_cps_geomean"` // gated
+	// AllocsPerKCycMean is an arithmetic mean (zero rows are legal); it is
+	// reported, while the gate checks allocations row by row.
+	AllocsPerKCycMean float64 `json:"allocs_per_kcycle_mean"`
 }
 
-// throughputTolerance is the allowed fractional drop in normalized
-// geomean throughput before the gate fails.
+// schemes are the engines measured per workload.
+var schemes = []string{"baseline", "acb"}
+
+// throughputTolerance is the allowed fractional drop in a scheme's
+// normalized geomean throughput before the gate fails.
 const throughputTolerance = 0.10
 
 // allocSlack is the allowed fractional growth in per-workload
@@ -99,8 +108,12 @@ func main() {
 		fmt.Printf("wrote %s\n", *out)
 	}
 
-	fmt.Printf("ref_score %.3g/s   geomean normalized %.4g   allocs/kcycle %.3f\n",
-		snap.RefScore, snap.Geomean.NormalizedCPS, snap.Geomean.AllocsPerKCyc)
+	fmt.Printf("ref_score %.3g/s\n", snap.RefScore)
+	for _, sch := range schemes {
+		sum := snap.Schemes[sch]
+		fmt.Printf("%-8s geomean normalized %.4g   mean allocs/kcycle %.3f\n",
+			sch, sum.NormalizedCPSGeomean, sum.AllocsPerKCycMean)
+	}
 
 	if *compare != "" {
 		base, err := load(*compare)
@@ -108,9 +121,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "acbbench: %v\n", err)
 			os.Exit(2)
 		}
-		if gate(base, snap) {
+		fails := gate(base, snap, os.Stdout)
+		if len(fails) == 0 {
 			fmt.Println("perf gate: PASS")
 			return
+		}
+		for _, f := range fails {
+			fmt.Fprintf(os.Stderr, "perf gate: FAIL %s\n", f)
 		}
 		os.Exit(1)
 	}
@@ -151,8 +168,6 @@ func measure(budget int64, repeat int) (*Snapshot, error) {
 		Budget:    budget,
 		RefScore:  refScore(),
 	}
-	schemes := []string{"baseline", "acb"}
-	var normalized, allocs []float64
 	for _, w := range workload.All() {
 		for _, sch := range schemes {
 			row, err := measureOne(&w, sch, budget, repeat)
@@ -161,17 +176,29 @@ func measure(budget int64, repeat int) (*Snapshot, error) {
 			}
 			row.Normalized = row.CyclesPerSec / snap.RefScore
 			snap.Rows = append(snap.Rows, *row)
-			normalized = append(normalized, row.Normalized)
-			allocs = append(allocs, row.AllocsPerKCyc)
 		}
 	}
-	snap.Geomean.NormalizedCPS = stats.Geomean(normalized)
-	var sum float64
-	for _, a := range allocs {
-		sum += a
-	}
-	snap.Geomean.AllocsPerKCyc = sum / float64(len(allocs))
+	snap.Schemes = summarize(snap.Rows)
 	return snap, nil
+}
+
+// summarize computes each scheme's throughput geomean and mean
+// allocations per kilocycle over its rows.
+func summarize(rows []WorkloadRow) map[string]SchemeSummary {
+	normalized := map[string][]float64{}
+	allocSum := map[string]float64{}
+	for _, r := range rows {
+		normalized[r.Scheme] = append(normalized[r.Scheme], r.Normalized)
+		allocSum[r.Scheme] += r.AllocsPerKCyc
+	}
+	out := make(map[string]SchemeSummary, len(normalized))
+	for sch, ns := range normalized {
+		out[sch] = SchemeSummary{
+			NormalizedCPSGeomean: stats.Geomean(ns),
+			AllocsPerKCycMean:    allocSum[sch] / float64(len(ns)),
+		}
+	}
+	return out
 }
 
 // measureOne times one (workload, scheme) simulation. Engines run bare
@@ -230,56 +257,63 @@ func load(path string) (*Snapshot, error) {
 }
 
 // gate compares the fresh measurement against the committed baseline and
-// reports whether it passes. Throughput is compared via the
-// hardware-normalized geomean; allocations per kilocycle are compared
-// per (workload, scheme) row.
-func gate(base, cur *Snapshot) bool {
-	ok := true
+// returns its failures (none = pass), writing what passed to out.
+// Throughput is compared per scheme via the hardware-normalized geomean;
+// allocations per kilocycle are compared per (workload, scheme) row, and
+// a baseline row missing from the current run fails.
+func gate(base, cur *Snapshot, out io.Writer) []string {
 	if base.Budget != cur.Budget {
-		fmt.Fprintf(os.Stderr, "perf gate: budget mismatch (baseline %d, current %d) — not comparable\n",
-			base.Budget, cur.Budget)
-		return false
+		return []string{fmt.Sprintf("budget mismatch (baseline %d, current %d): not comparable",
+			base.Budget, cur.Budget)}
+	}
+	var fails []string
+	if len(base.Schemes) == 0 {
+		fails = append(fails, "baseline snapshot has no per-scheme summary; refresh it with -out")
+	}
+	names := make([]string, 0, len(base.Schemes))
+	for sch := range base.Schemes {
+		names = append(names, sch)
+	}
+	sort.Strings(names)
+	for _, sch := range names {
+		b := base.Schemes[sch].NormalizedCPSGeomean
+		c, found := cur.Schemes[sch]
+		if !found {
+			fails = append(fails, fmt.Sprintf("scheme %s missing from the current run", sch))
+			continue
+		}
+		floor := b * (1 - throughputTolerance)
+		if c.NormalizedCPSGeomean < floor {
+			fails = append(fails, fmt.Sprintf("%s normalized throughput geomean %.4g < %.4g (baseline %.4g - %d%%)",
+				sch, c.NormalizedCPSGeomean, floor, b, int(throughputTolerance*100)))
+		} else {
+			fmt.Fprintf(out, "throughput: %s normalized geomean %.4g vs baseline %.4g (floor %.4g) ok\n",
+				sch, c.NormalizedCPSGeomean, b, floor)
+		}
 	}
 
-	floor := base.Geomean.NormalizedCPS * (1 - throughputTolerance)
-	if cur.Geomean.NormalizedCPS < floor {
-		fmt.Fprintf(os.Stderr,
-			"perf gate: FAIL normalized throughput geomean %.4g < %.4g (baseline %.4g - %d%%)\n",
-			cur.Geomean.NormalizedCPS, floor, base.Geomean.NormalizedCPS, int(throughputTolerance*100))
-		ok = false
-	} else {
-		fmt.Printf("throughput: normalized geomean %.4g vs baseline %.4g (floor %.4g) ok\n",
-			cur.Geomean.NormalizedCPS, base.Geomean.NormalizedCPS, floor)
-	}
-
-	baseRows := map[string]WorkloadRow{}
-	for _, r := range base.Rows {
-		baseRows[r.Name+"/"+r.Scheme] = r
-	}
-	keys := make([]string, 0, len(cur.Rows))
 	curRows := map[string]WorkloadRow{}
 	for _, r := range cur.Rows {
-		k := r.Name + "/" + r.Scheme
-		keys = append(keys, k)
-		curRows[k] = r
+		curRows[r.Name+"/"+r.Scheme] = r
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b, found := baseRows[k]
+	checked := 0
+	for _, b := range base.Rows {
+		k := b.Name + "/" + b.Scheme
+		c, found := curRows[k]
 		if !found {
-			continue // new workload: no baseline yet
+			fails = append(fails, fmt.Sprintf("%s missing from the current run", k))
+			continue
 		}
-		c := curRows[k]
+		checked++
 		limit := b.AllocsPerKCyc*(1+allocSlackFrac) + allocSlackAbs
 		if c.AllocsPerKCyc > limit {
-			fmt.Fprintf(os.Stderr, "perf gate: FAIL %s allocs/kcycle %.3f > %.3f (baseline %.3f)\n",
-				k, c.AllocsPerKCyc, limit, b.AllocsPerKCyc)
-			ok = false
+			fails = append(fails, fmt.Sprintf("%s allocs/kcycle %.3f > %.3f (baseline %.3f)",
+				k, c.AllocsPerKCyc, limit, b.AllocsPerKCyc))
 		}
 	}
-	if ok {
-		fmt.Printf("allocations: all %d rows within %.0f%%+%.1f of baseline\n",
-			len(keys), allocSlackFrac*100, allocSlackAbs)
+	if len(fails) == 0 {
+		fmt.Fprintf(out, "allocations: all %d baseline rows within %.0f%%+%.1f (%d new rows ungated)\n",
+			checked, allocSlackFrac*100, allocSlackAbs, len(cur.Rows)-checked)
 	}
-	return ok
+	return fails
 }

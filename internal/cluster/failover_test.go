@@ -293,6 +293,46 @@ func TestStandbyPromotion(t *testing.T) {
 	}
 }
 
+// TestStandbyPromotedImpliesCoordinator: Promoted must never report a
+// takeover whose coordinator is not yet published. The standby's primary
+// is unreachable from the start, so it promotes after DeadAfter probe
+// intervals; the loop polls across the whole promotion (lease fsync,
+// journal open, coordinator start), where the two used to disagree.
+func TestStandbyPromotedImpliesCoordinator(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	dir := t.TempDir()
+	lease, err := OpenLease(filepath.Join(dir, "standby.lease"), "cb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stb, err := NewStandby(StandbyConfig{
+		Primary:     dead.URL,
+		JournalPath: filepath.Join(dir, "standby.journal"),
+		Lease:       lease,
+		Cluster: Config{Node: "cb", ProbeInterval: 5 * time.Millisecond, DeadAfter: 2,
+			Workers: []Member{{Name: "w1", URL: dead.URL}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stb.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		stb.Shutdown(ctx)
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for !stb.Promoted() {
+		if time.Now().After(deadline) {
+			t.Fatal("standby never promoted")
+		}
+	}
+	if stb.Coordinator() == nil {
+		t.Fatal("Promoted is true but Coordinator is nil")
+	}
+}
+
 // TestLeaseFencing: the worker-side epoch protocol end to end against a
 // live fleet — a higher-epoch coordinator appearing makes workers
 // re-register (readyz 503 until listed) and turns the old primary into
@@ -338,7 +378,7 @@ func TestLeaseFencing(t *testing.T) {
 	if resp := get("/v1/jobs", "2"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reconcile listing status %d", resp.StatusCode)
 	}
-	if code, _ := getBody(t, w.url() + "/v1/readyz"); code != http.StatusOK {
+	if code, _ := getBody(t, w.url()+"/v1/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz after reconciliation = %d", code)
 	}
 

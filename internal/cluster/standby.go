@@ -50,9 +50,12 @@ type Standby struct {
 	wlog         *wal.Log          // fsync'd mirror (nil = memory-only)
 	primaryEpoch uint64            // highest epoch seen on the stream
 	lastSeen     time.Time         // last stream byte (meta, record or heartbeat)
-	promoted     bool
-	coord        *Coordinator
-	handler      http.Handler
+	// promoting is promote's re-entry guard and stops the tail and the
+	// watchdog once takeover has begun. The standby counts as promoted
+	// only once coord is set, so Promoted and Coordinator never disagree.
+	promoting bool
+	coord     *Coordinator
+	handler   http.Handler
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -125,11 +128,12 @@ func (s *Standby) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Promoted reports whether this standby has taken over.
+// Promoted reports whether this standby has taken over: when it returns
+// true, Coordinator returns the running coordinator.
 func (s *Standby) Promoted() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.promoted
+	return s.coord != nil
 }
 
 // Coordinator returns the promoted coordinator (nil before promotion).
@@ -152,7 +156,10 @@ func (s *Standby) tailLoop() {
 			return
 		default:
 		}
-		if s.Promoted() {
+		s.mu.Lock()
+		promoting := s.promoting
+		s.mu.Unlock()
+		if promoting {
 			return
 		}
 		s.tailOnce()
@@ -207,7 +214,7 @@ func (s *Standby) tailOnce() {
 			continue
 		}
 		s.mu.Lock()
-		if s.promoted {
+		if s.promoting {
 			s.mu.Unlock()
 			return
 		}
@@ -257,7 +264,7 @@ func (s *Standby) watchdog() {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			lapsed := !s.promoted && time.Since(s.lastSeen) > silence
+			lapsed := !s.promoting && time.Since(s.lastSeen) > silence
 			s.mu.Unlock()
 			if lapsed {
 				s.promote()
@@ -274,11 +281,11 @@ func (s *Standby) watchdog() {
 // journal placed them, not re-run.
 func (s *Standby) promote() {
 	s.mu.Lock()
-	if s.promoted {
+	if s.promoting {
 		s.mu.Unlock()
 		return
 	}
-	s.promoted = true
+	s.promoting = true
 	if s.wlog != nil {
 		s.wlog.Close()
 		s.wlog = nil

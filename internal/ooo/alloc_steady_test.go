@@ -28,7 +28,9 @@ import (
 //   - ACB engines additionally pay per-predication-instance bookkeeping
 //     (a ctxState, an oracle snapshot + writes map, true-path scratch) —
 //     event allocations attributable to instructions, not cycles — so
-//     they are bounded per opened instance instead.
+//     they are bounded per opened instance instead. Across the suite the
+//     measured window costs 3.0–9.1 mallocs per instance (median 5.7);
+//     the budget is that maximum plus ~20%.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement; skipped in -short")
@@ -37,7 +39,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		warmup      = 60_000  // retired instructions before measuring
 		measured    = 120_000 // total budget; the second half is measured
 		maxPerKCyc  = 1.0     // allocs per 1000 simulated cycles (cycle loop)
-		maxPerInst  = 30.0    // allocs per predication instance (ACB bookkeeping)
+		maxPerInst  = 11.0    // allocs per predication instance (ACB bookkeeping; measured max 9.1)
 		maxAbsolute = 200     // absolute slack for runtime background noise
 	)
 	for _, w := range workload.All() {

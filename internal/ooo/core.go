@@ -149,12 +149,25 @@ type Core struct {
 	// committed state even when the run stops with work in flight.
 	commitRat [isa.NumRegs]int
 
-	// iq holds direct entry pointers (ring slots are stable); flushAfter
+	// iq holds the issue-queue entries the select scan polls, in seq
+	// order, as direct entry pointers (ring slots are stable); flushAfter
 	// filters it by seq before any squashed slot can be reallocated, so no
-	// stale pointer survives into the issue scan.
-	iq []*robEntry
-	loads  seqList
-	stores seqList
+	// stale pointer survives into the issue scan. Entries waiting only on
+	// one unready physical register are parked instead: waitHead[p] heads
+	// the list (in the waitRecs arena, free records chained from waitFree)
+	// of those waiting on p, completeStage moves them to woken when p
+	// becomes ready, and issueStage merges woken back into iq, writing the
+	// survivors to iqSpare and swapping the two. nParked counts the
+	// entries on waiter lists or in woken; they still hold IQ slots.
+	iq       []*robEntry
+	iqSpare  []*robEntry
+	waitHead []int32
+	waitRecs []waitRec
+	waitFree int32
+	woken    []waitRec
+	nParked  int
+	loads    seqList
+	stores   seqList
 
 	// fetchQ is a fixed-capacity ring (head fqHead, length fqLen) of the
 	// decoupled fetch queue. The old append/[1:] slice churned an
@@ -340,6 +353,12 @@ func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, sc
 		scheme:     scheme,
 		rob:        newROB(cfg.ROBSize),
 		prf:        make([]prfEntry, cfg.PRFSize),
+		iq:         make([]*robEntry, 0, cfg.IQSize),
+		iqSpare:    make([]*robEntry, 0, cfg.IQSize),
+		waitHead:   make([]int32, cfg.PRFSize),
+		waitRecs:   make([]waitRec, cfg.IQSize),
+		waitFree:   -1,
+		woken:      make([]waitRec, 0, cfg.IQSize),
 		fetchQ:     make([]fetchedInst, fqStore),
 		fetchQCap:  fqCap,
 		fqMask:     fqStore - 1,
@@ -356,6 +375,13 @@ func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, sc
 	}
 	for p := isa.NumRegs; p < cfg.PRFSize; p++ {
 		c.freeList = append(c.freeList, p)
+	}
+	for p := range c.waitHead {
+		c.waitHead[p] = -1
+	}
+	for n := len(c.waitRecs) - 1; n >= 0; n-- {
+		c.waitRecs[n].next = c.waitFree
+		c.waitFree = int32(n)
 	}
 	base := isa.NewMemory()
 	c.oracleMem = isa.NewOverlay(base)
@@ -571,7 +597,7 @@ func (c *Core) stepCycle() bool {
 	c.renameStage()
 	c.fetchStage()
 	if c.pipe != nil {
-		c.pipe.sample(c.rob.occupancy(), c.cfg.ROBSize, len(c.iq), c.cfg.IQSize)
+		c.pipe.sample(c.rob.occupancy(), c.cfg.ROBSize, c.iqOccupancy(), c.cfg.IQSize)
 	}
 	if c.cpi != nil {
 		c.cpiAccount()

@@ -37,6 +37,7 @@ func (c *Core) completeStage() {
 		e.done = true
 		if e.dest >= 0 {
 			c.prf[e.dest] = prfEntry{val: e.result, ready: true}
+			c.wake(e.dest)
 		}
 		if e.role == RoleSelect {
 			continue
@@ -207,6 +208,9 @@ func (c *Core) flushAfter(e *robEntry, redirectPC int) {
 	c.rob.squashAfter(e.seq, func(se *robEntry) {
 		if se.dest >= 0 {
 			c.freeList = append(c.freeList, se.dest)
+		}
+		if se.waitPhys >= 0 {
+			c.unpark(se)
 		}
 	})
 	c.rat = e.ratCkpt

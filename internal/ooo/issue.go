@@ -16,6 +16,9 @@ import "acb/internal/isa"
 //     branch plus the chosen source.
 //   - Loads wait until all older stores have computed addresses, and stall
 //     behind address-matching stores of unresolved predicated regions.
+//
+// An entry whose only remaining wait is one unready physical register
+// leaves the scan (park) until completeStage wakes it; see waitRec.
 func (c *Core) issueStage() {
 	issued := 0
 	loadsIssued, storesIssued := 0, 0
@@ -28,15 +31,20 @@ func (c *Core) issueStage() {
 		maxStores = 1
 	}
 
-	keep := c.iq[:0]
-	for _, e := range c.iq {
-		// Scoreboard fast path: still waiting on the same unready source.
-		if w := e.waitPhys; w >= 0 {
-			if !c.prf[w].ready {
-				keep = append(keep, e)
-				continue
-			}
+	// The scan walks c.iq merged with the entries woken since the last
+	// scan, in seq order, so age-ordered select sees each woken entry
+	// exactly where polling would have kept it. Survivors go to the spare
+	// buffer, which becomes c.iq.
+	scan, woken := c.iq, c.sortWoken()
+	keep := c.iqSpare[:0]
+	for len(scan) > 0 || len(woken) > 0 {
+		var e *robEntry
+		if len(woken) > 0 && (len(scan) == 0 || woken[0].seq < scan[0].seq) {
+			e, woken = woken[0].e, woken[1:]
 			e.waitPhys = -1
+			c.nParked--
+		} else {
+			e, scan = scan[0], scan[1:]
 		}
 		if issued >= c.cfg.IssueWidth ||
 			(e.isLoad && loadsIssued >= maxLoads) ||
@@ -46,7 +54,11 @@ func (c *Core) issueStage() {
 		}
 		lat, ok := c.tryIssue(e)
 		if !ok {
-			keep = append(keep, e)
+			if e.waitPhys >= 0 {
+				c.park(e)
+			} else {
+				keep = append(keep, e)
+			}
 			continue
 		}
 		e.issued = true
@@ -64,11 +76,19 @@ func (c *Core) issueStage() {
 			storesIssued++
 		}
 	}
-	c.iq = keep
+	c.iqSpare, c.iq = c.iq[:0], keep
+	c.woken = c.woken[:0]
 }
 
 // tryIssue checks readiness and, if ready, performs the instruction's
-// value computation, returning its completion latency.
+// value computation, returning its completion latency. A failure whose
+// only cause is one unready physical register records that register in
+// e.waitPhys, and the scan parks the entry on it. Failures with per-cycle
+// side effects or non-register conditions leave no hint and are polled:
+// a body gated on its unresolved branch (bodyStalls counts every attempt
+// and feeds StallThrottle), a select awaiting its branch, a predicated
+// branch awaiting its reconvergence id, an eager body (its invalidation
+// re-check below), and a load blocked on an older store.
 func (c *Core) tryIssue(e *robEntry) (lat int, ok bool) {
 	switch e.role {
 	case RoleSelect:
@@ -77,7 +97,7 @@ func (c *Core) tryIssue(e *robEntry) (lat int, ok bool) {
 		if !e.ctx.spec.Eager && !e.ctx.closed {
 			return 0, false // stalled awaiting reconvergence/divergence id
 		}
-		return c.tryIssueNormal(e)
+		return c.tryIssueRegs(e)
 	case RoleBody:
 		if !e.ctx.spec.Eager {
 			return c.tryIssueStallBody(e)
@@ -92,32 +112,36 @@ func (c *Core) tryIssue(e *robEntry) (lat int, ok bool) {
 			e.invalidated = true
 			c.s.invalidatedMem++
 		}
-		return c.tryIssueNormal(e)
-	default:
-		lat, ok = c.tryIssueNormal(e)
-		if !ok {
-			// Cache the first unready source so the issue scan can skip
-			// this entry cheaply until its producer completes. A ready-srcs
-			// failure (load blocked on an older store) leaves no hint and
-			// is re-attempted every cycle, as before.
-			for i := 0; i < e.nsrc; i++ {
-				if !c.prf[e.src[i]].ready {
-					e.waitPhys = int32(e.src[i])
-					break
-				}
-			}
+		if c.unreadySrc(e) >= 0 {
+			return 0, false
 		}
-		return lat, ok
+		return c.execute(e)
+	default:
+		return c.tryIssueRegs(e)
 	}
 }
 
-func (c *Core) srcsReady(e *robEntry) bool {
+// unreadySrc returns e's first source physical register that is not
+// ready, or -1.
+func (c *Core) unreadySrc(e *robEntry) int32 {
 	for i := 0; i < e.nsrc; i++ {
 		if !c.prf[e.src[i]].ready {
-			return false
+			return int32(e.src[i])
 		}
 	}
-	return true
+	return -1
+}
+
+// tryIssueRegs handles ordinary ALU/branch/memory execution once the
+// sources are ready; an unready source is recorded in e.waitPhys as the
+// wakeup register. A load blocked on an older store has ready sources,
+// leaves no hint and is re-attempted every cycle.
+func (c *Core) tryIssueRegs(e *robEntry) (int, bool) {
+	if w := c.unreadySrc(e); w >= 0 {
+		e.waitPhys = w
+		return 0, false
+	}
+	return c.execute(e)
 }
 
 func (c *Core) srcVals(e *robEntry) (a, b int64) {
@@ -130,11 +154,9 @@ func (c *Core) srcVals(e *robEntry) (a, b int64) {
 	return a, b
 }
 
-// tryIssueNormal handles ordinary ALU/branch/memory execution.
-func (c *Core) tryIssueNormal(e *robEntry) (int, bool) {
-	if !c.srcsReady(e) {
-		return 0, false
-	}
+// execute performs the value computation of an entry whose sources are
+// ready.
+func (c *Core) execute(e *robEntry) (int, bool) {
 	switch e.inst.Op {
 	case isa.Load:
 		return c.tryIssueLoad(e)
@@ -170,12 +192,12 @@ func (c *Core) tryIssueStallBody(e *robEntry) (int, bool) {
 	}
 	onFalse := e.pathTaken != ctx.branchTaken
 	if !onFalse {
-		return c.tryIssueNormal(e)
+		return c.tryIssueRegs(e)
 	}
 	if c.mutation == MutSkipMemInvalidate && (e.isLoad || e.isStore) {
 		// Deliberate break (difftest self-test): the false-path memory op
 		// executes as if it were on the taken path.
-		return c.tryIssueNormal(e)
+		return c.tryIssueRegs(e)
 	}
 	// Predicated-false path: producers copy the last correctly produced
 	// value of their logical destination; everything else releases.
@@ -186,6 +208,7 @@ func (c *Core) tryIssueStallBody(e *robEntry) (int, bool) {
 			e.hasResult = true
 		} else {
 			if !c.prf[e.prevPhys].ready {
+				e.waitPhys = int32(e.prevPhys)
 				return 0, false
 			}
 			e.result = c.prf[e.prevPhys].val
@@ -213,6 +236,7 @@ func (c *Core) tryIssueSelect(e *robEntry) (int, bool) {
 		chosen = e.selT
 	}
 	if !c.prf[chosen].ready {
+		e.waitPhys = int32(chosen)
 		return 0, false
 	}
 	e.result = c.prf[chosen].val
@@ -267,3 +291,84 @@ func (c *Core) tryIssueLoad(e *robEntry) (int, bool) {
 }
 
 func sameWord(a, b int64) bool { return a&^7 == b&^7 }
+
+// waitRec is one parked IQ entry, either on a physical register's waiter
+// list or in the woken buffer. Waiter lists are singly linked through the
+// fixed c.waitRecs arena by index: a parked entry holds an IQ slot, so at
+// most IQSize records are ever in use. A squashed entry's record is
+// removed at once (unpark), so every record names a live entry; seq is
+// copied in so the woken buffer sorts without touching the entries.
+type waitRec struct {
+	e    *robEntry
+	seq  int64
+	next int32 // arena index of the next record on the list, -1 at the end
+}
+
+// park takes e off the issue scan until e.waitPhys becomes ready. It
+// still occupies its IQ slot (iqOccupancy), which is also why the arena,
+// IQSize records long, always has a free record.
+func (c *Core) park(e *robEntry) {
+	n := c.waitFree
+	c.waitFree = c.waitRecs[n].next
+	c.waitRecs[n] = waitRec{e: e, seq: e.seq, next: c.waitHead[e.waitPhys]}
+	c.waitHead[e.waitPhys] = n
+	c.nParked++
+}
+
+// wake moves register p's parked entries to the woken buffer; called when
+// completeStage marks p ready.
+func (c *Core) wake(p int) {
+	for n := c.waitHead[p]; n >= 0; {
+		r := &c.waitRecs[n]
+		c.woken = append(c.woken, *r)
+		next := r.next
+		*r = waitRec{next: c.waitFree}
+		c.waitFree = n
+		n = next
+	}
+	c.waitHead[p] = -1
+}
+
+// unpark releases a parked entry that flushAfter is squashing: it gives
+// up its IQ slot, and its record leaves its waiter list or, when a
+// completion earlier in the same completeStage woke it, the woken buffer.
+func (c *Core) unpark(e *robEntry) {
+	c.nParked--
+	link := &c.waitHead[e.waitPhys]
+	for n := *link; n >= 0; n = *link {
+		r := &c.waitRecs[n]
+		if r.e == e {
+			*link = r.next
+			*r = waitRec{next: c.waitFree}
+			c.waitFree = n
+			return
+		}
+		link = &r.next
+	}
+	for i := range c.woken {
+		if c.woken[i].e == e {
+			c.woken = append(c.woken[:i], c.woken[i+1:]...)
+			return
+		}
+	}
+}
+
+// sortWoken sorts the woken buffer by seq (insertion sort: a cycle wakes
+// a handful of entries) and returns it.
+func (c *Core) sortWoken() []waitRec {
+	ws := c.woken
+	for i := 1; i < len(ws); i++ {
+		r := ws[i]
+		j := i
+		for j > 0 && ws[j-1].seq > r.seq {
+			ws[j] = ws[j-1]
+			j--
+		}
+		ws[j] = r
+	}
+	return ws
+}
+
+// iqOccupancy is the number of IQ slots in use: the polled entries plus
+// the parked ones.
+func (c *Core) iqOccupancy() int { return len(c.iq) + c.nParked }

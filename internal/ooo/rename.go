@@ -62,7 +62,7 @@ func (c *Core) resourcesAvailable(fi *fetchedInst) bool {
 	}
 	op := fi.inst.Op
 	needsIQ := op != isa.Nop && op != isa.Halt && op != isa.Jmp
-	if needsIQ && len(c.iq) >= c.cfg.IQSize {
+	if needsIQ && c.iqOccupancy() >= c.cfg.IQSize {
 		return false
 	}
 	if op == isa.Load && c.loads.len() >= c.cfg.LQSize {
@@ -209,7 +209,7 @@ func (c *Core) buildSelects(ctx *ctxState) {
 // allocSelect allocates one pending select micro-op; it returns false when
 // backend resources are exhausted this cycle.
 func (c *Core) allocSelect(ss *selectSpec) bool {
-	if c.rob.full() || len(c.iq) >= c.cfg.IQSize || len(c.freeList) == 0 {
+	if c.rob.full() || c.iqOccupancy() >= c.cfg.IQSize || len(c.freeList) == 0 {
 		return false
 	}
 	e := c.rob.alloc()

@@ -51,12 +51,10 @@ type robEntry struct {
 	nFree        uint8
 
 	// Execution state.
-	// waitPhys is a scoreboard hint: when a plain-role entry fails issue
-	// because a source physical register is not ready, the register is
-	// recorded here and the issue scan skips the entry with a single
-	// ready-bit load until the producer completes. Valid only for
-	// RoleNone entries — every other role has per-cycle side effects or
-	// non-register stall conditions. -1 means no hint.
+	// waitPhys is the physical register a parked IQ entry waits on: set
+	// when issue fails only because that register is not ready, it keeps
+	// the entry off the issue scan until completeStage wakes it (see
+	// park). -1 means the entry is not parked.
 	waitPhys  int32
 	inIQ      bool
 	issued    bool
@@ -152,10 +150,10 @@ func (e *robEntry) reset(seq int64, gen uint64) {
 // Occupancy is still bounded by the configured architectural size.
 type rob struct {
 	entries []robEntry
-	mask    int64 // len(entries)-1; len is a power of two
-	cap     int   // architectural ROB size (occupancy bound)
-	headSeq int64 // oldest live seq
-	nextSeq int64 // next seq to allocate
+	mask    int64  // len(entries)-1; len is a power of two
+	cap     int    // architectural ROB size (occupancy bound)
+	headSeq int64  // oldest live seq
+	nextSeq int64  // next seq to allocate
 	gen     uint64 // allocation generation; never rewinds (unlike nextSeq)
 }
 

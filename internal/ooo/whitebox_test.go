@@ -227,8 +227,8 @@ func TestFetchQueueBounded(t *testing.T) {
 		if c.rob.occupancy() > c.cfg.ROBSize {
 			t.Fatalf("ROB over capacity")
 		}
-		if len(c.iq) > c.cfg.IQSize {
-			t.Fatalf("IQ over capacity: %d", len(c.iq))
+		if c.iqOccupancy() > c.cfg.IQSize {
+			t.Fatalf("IQ over capacity: %d", c.iqOccupancy())
 		}
 	}
 }
