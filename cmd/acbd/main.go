@@ -129,7 +129,7 @@ func serve(args []string) error {
 		drain      = fs.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown drain budget before cancelling running jobs")
 		debug      = fs.String("debug-addr", "", "listen address for net/http/pprof (empty = disabled; keep it off the service port)")
 		probeIvl   = fs.Duration("probe-interval", 500*time.Millisecond, "coordinator: worker heartbeat period")
-		pollIvl    = fs.Duration("poll-interval", 250*time.Millisecond, "coordinator: job reconcile/steal period")
+		pollIvl    = fs.Duration("poll-interval", 250*time.Millisecond, "coordinator: long-poll window of a dispatch lane's job-status request (a running job's mirrored state is at most this old; completions are seen at once)")
 		deadAfter  = fs.Int("dead-after", 3, "coordinator: consecutive failed probes before a worker is declared dead")
 		standbyURL = fs.String("standby", "", "coordinator: run as a warm standby tailing this primary's journal; promotes when its heartbeats lapse")
 		leasePth   = fs.String("lease", "", "coordinator: fsync'd fencing-epoch lease file (default: <journal>.lease when -journal is set)")
@@ -434,12 +434,7 @@ func (p *retryPolicy) delay(attempt int, retryAfter string) time.Duration {
 	if hint, ok := p.parseRetryAfter(retryAfter); ok {
 		return hint + time.Duration(p.rng.Int63n(int64(p.base/2)+1))
 	}
-	d := p.base << uint(attempt)
-	if d > p.max || d <= 0 {
-		d = p.max
-	}
-	half := d / 2
-	return half + time.Duration(p.rng.Int63n(int64(half)+1))
+	return service.Backoff(attempt, p.base, p.max, p.rng)
 }
 
 // parseRetryAfter interprets a Retry-After header in both RFC 9110 forms:

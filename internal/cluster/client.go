@@ -228,15 +228,11 @@ func retriable(err error) bool {
 	return code == 0 || code >= 500 || code == http.StatusTooManyRequests
 }
 
-// backoff sleeps one equal-jitter step (uniform in [d/2, d]) or until
-// ctx is done.
+// backoff sleeps one equal-jitter step (service.Backoff) or until ctx
+// is done.
 func (c *Client) backoff(ctx context.Context, attempt int) error {
 	c.mu.Lock()
-	d := c.base << uint(attempt)
-	if d > c.max || d <= 0 {
-		d = c.max
-	}
-	d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
+	d := service.Backoff(attempt, c.base, c.max, c.rng)
 	c.mu.Unlock()
 	t := time.NewTimer(d)
 	defer t.Stop()

@@ -43,29 +43,27 @@ type Config struct {
 	ProbeTimeout  time.Duration
 	DeadAfter     int
 
-	// PollInterval is the job-reconcile period (default 250ms).
+	// PollInterval is a lane's long-poll window on its job's worker
+	// status (default 250ms): a running job's mirrored state is at most
+	// this old, while a completion is seen at once. A lane also pauses
+	// this long after a failed RPC before retrying.
 	PollInterval time.Duration
 	// RPCTimeout bounds one job-control RPC (default 10s).
 	RPCTimeout time.Duration
 
-	// MaxAssigns bounds how many worker assignments one job may consume
-	// (initial dispatch + re-dispatch after worker death + steals)
-	// before the coordinator fails it. Default 6.
+	// MaxAssigns bounds how many times one job may be posted to a worker
+	// (the first post plus re-posts after a worker death, a lost job or an
+	// out-of-band cancel) before the coordinator fails it. Default 6.
 	MaxAssigns int
-	// StealMargin is how many worker-queued jobs a straggler must hold
-	// before an idle worker steals one. Default 2.
-	StealMargin int
-	// VNodes is the ring's virtual-node count per worker (default 64).
-	VNodes int
 
 	// Journal is the cluster write-ahead log (nil = not journaled).
-	// Every placement, dispatch, steal, completion and membership
-	// transition is appended before the in-memory job table mutates.
+	// Every placement, completion and membership transition is appended
+	// before the in-memory job table mutates.
 	Journal *Journal
 	// Replay is the job set recovered from the journal at open, restored
-	// into the table before the control loop starts: terminal jobs come
-	// back queryable, placed jobs are re-probed via reconcile rather than
-	// re-run, and unplaced jobs re-enter dispatch.
+	// into the table before the lanes start: terminal jobs come back
+	// queryable, placed jobs are re-attached by their worker's lanes
+	// rather than re-run, and unplaced jobs re-enter the queue.
 	Replay []ReplayedJob
 	// Epoch is the coordinator's fencing epoch, stamped on every RPC.
 	// Workers reject RPCs below the highest epoch they have seen, which
@@ -107,20 +105,40 @@ func (cfg *Config) fillDefaults() {
 	if cfg.MaxAssigns <= 0 {
 		cfg.MaxAssigns = 6
 	}
-	if cfg.StealMargin <= 0 {
-		cfg.StealMargin = 2
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
 }
 
-// member is a fleet entry plus its probed liveness.
+// maxSlots bounds the job concurrency a worker may report in its
+// listing; a value outside [1, maxSlots] counts as 1.
+const maxSlots = 256
+
+// lanesFor is the lane count for a worker reporting job concurrency n:
+// n+1, so the worker's own queue never runs dry while a lane completes a
+// job.
+func lanesFor(n int) int {
+	if n < 1 || n > maxSlots {
+		n = 1
+	}
+	return n + 1
+}
+
+// member is a fleet entry plus its probed liveness and its lanes. name
+// and url are immutable; the rest is guarded by the coordinator's mutex.
 type member struct {
 	name  string
 	url   string
 	alive bool
+	down  bool // declared dead; cleared when a probe succeeds again
 	fails int
+
+	// ctx scopes the current incarnation's lanes: it is cancelled when the
+	// member is declared dead, which aborts their RPCs.
+	ctx   context.Context
+	stop  context.CancelFunc
+	lanes int // running lanes of this incarnation
+	want  int // lanes the worker's concurrency asks for
 }
 
 // cjob is one cluster job. All fields are guarded by the coordinator's
@@ -131,22 +149,15 @@ type cjob struct {
 	req service.Request
 
 	state    service.JobState
-	worker   string // current assignment ("" = unassigned)
+	worker   string // current placement ("" = unplaced)
 	remoteID string // job ID on that worker
-	assigns  int    // workers this job has been sent to
-	stolen   int    // reassignments via work stealing
+	assigns  int    // times this job has been posted to a worker
+	held     bool   // a lane is driving it; only that lane changes its placement
 	cancel   bool   // client requested cancellation
 	cacheHit bool
-	// remoteDone marks a job the worker reports finished whose result
-	// the coordinator has not yet replicated. The job goes terminal only
-	// once the replica lands (done ⇒ result durable at the coordinator);
-	// if the worker dies first, the job reruns instead of going
-	// done-but-unfetchable.
-	remoteDone bool
-	fetchTries int
-	err        string
-	errKind    string
-	cpi        map[string]experiments.CPITotals
+	err      string
+	errKind  string
+	cpi      map[string]experiments.CPITotals
 
 	created  time.Time
 	started  time.Time
@@ -156,51 +167,48 @@ type cjob struct {
 
 // JobStatus is a cluster job snapshot: the single-node status shape
 // (so `acbd submit -wait` and every existing client work unchanged
-// against a coordinator) plus placement fields.
+// against a coordinator) plus the worker the job is (or was) placed on.
 type JobStatus struct {
 	service.JobStatus
 	Worker string `json:"worker,omitempty"`
-	Stolen int    `json:"stolen,omitempty"`
 }
 
-// Coordinator owns cluster state: fleet liveness, the live-member ring,
-// and every cluster job's placement. One background goroutine runs all
-// dispatch/reconcile/steal/probe transitions, so those never race each
-// other; client-facing methods only read or flag state under the mutex.
+// Coordinator owns cluster state: fleet liveness and every cluster job's
+// placement. Work moves by pull: each live worker gets a set of lanes —
+// coordinator goroutines that each take the oldest dispatchable job and
+// drive it on that worker from post to durable result. One probe loop
+// keeps liveness and sizes the lanes; client-facing methods only read or
+// flag state under the mutex.
 type Coordinator struct {
 	cfg     Config
 	client  *Client
 	store   *service.Store
 	journal *Journal
 	epoch   uint64
+	// ring is the static fleet's ring, the one workers peer-fetch by: it
+	// picks replication targets and the results proxy's fetch order.
+	ring *Ring
 
 	counters *stats.Counters
 
 	mu       sync.Mutex
-	fenced   bool // a higher-epoch coordinator exists; stand down
+	cond     *sync.Cond // on mu: signals lanes that the queue or fleet changed
+	fenced   bool       // a higher-epoch coordinator exists; stand down
 	members  map[string]*member
-	ring     *Ring // live members only; rebuilt on liveness change
 	jobs     map[string]*cjob
 	byKey    map[string]*cjob // non-terminal jobs by result key (dedup)
 	order    []string
 	terminal int
 
-	// completedOn remembers which worker finished each key, so the
-	// results proxy asks the shard that actually has it first — the ring
-	// owner is wrong for stolen and death-rehashed jobs. Bounded FIFO.
-	completedOn  map[string]string
-	completedLog []string
-
 	nextID int64
 	closed bool
 	probed bool // first probe round done (readyz gate)
 
-	kick   chan struct{}
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	ctx     context.Context    // parent of every member's ctx
+	stopAll context.CancelFunc // on shutdown or fencing
+	stopCh  chan struct{}
+	wg      sync.WaitGroup
 }
-
-const completedOnCap = 8192
 
 // New builds a Coordinator over the given result store (the
 // coordinator's own cache tier for the results proxy; it may be
@@ -211,19 +219,20 @@ func New(cfg Config, store *service.Store) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: coordinator needs at least one worker")
 	}
 	c := &Coordinator{
-		cfg:         cfg,
-		client:      NewClient(cfg.RPCTimeout, cfg.Faults),
-		store:       store,
-		journal:     cfg.Journal,
-		epoch:       cfg.Epoch,
-		counters:    stats.NewCounters(),
-		members:     make(map[string]*member),
-		jobs:        make(map[string]*cjob),
-		byKey:       make(map[string]*cjob),
-		completedOn: make(map[string]string),
-		kick:        make(chan struct{}, 1),
-		stopCh:      make(chan struct{}),
+		cfg:      cfg,
+		client:   NewClient(cfg.RPCTimeout, cfg.Faults),
+		store:    store,
+		journal:  cfg.Journal,
+		epoch:    cfg.Epoch,
+		counters: stats.NewCounters(),
+		members:  make(map[string]*member),
+		jobs:     make(map[string]*cjob),
+		byKey:    make(map[string]*cjob),
+		stopCh:   make(chan struct{}),
 	}
+	c.cond = sync.NewCond(&c.mu)
+	c.ctx, c.stopAll = context.WithCancel(context.Background())
+	names := make([]string, 0, len(cfg.Workers))
 	for _, m := range cfg.Workers {
 		if m.Name == "" || m.URL == "" {
 			return nil, fmt.Errorf("cluster: worker needs name and url, got %+v", m)
@@ -232,8 +241,9 @@ func New(cfg Config, store *service.Store) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: duplicate worker name %q", m.Name)
 		}
 		c.members[m.Name] = &member{name: m.Name, url: m.URL}
+		names = append(names, m.Name)
 	}
-	c.ring = NewRing(cfg.VNodes) // empty until the first probe round
+	c.ring = NewRing(0, names...)
 	// The coordinator's store fills from whichever worker has a key, so
 	// GET /v1/results/{key} works for any completed job, wherever it ran.
 	store.SetPeers(c.fetchEnvelope, cfg.RPCTimeout)
@@ -263,6 +273,8 @@ func (c *Coordinator) onStaleEpoch(higher uint64) {
 		return
 	}
 	c.fenced = true
+	c.stopAll()
+	c.cond.Broadcast()
 	c.counters.Add("fenced", 1)
 	c.cfg.Logf("cluster: fenced: epoch %d superseded by %d; standing down", c.epoch, higher)
 }
@@ -271,8 +283,8 @@ func (c *Coordinator) onStaleEpoch(higher uint64) {
 // jobs are restored closed (status queries across a restart keep
 // working); non-terminal jobs whose result is already in the local
 // store complete on the spot; the rest re-enter the table with their
-// journaled placement, where reconcile re-probes the assigned worker
-// — observing the result of work that kept running through the
+// journaled placement, where a lane of that worker re-attaches to the
+// remote job — observing work that kept running through the
 // coordinator outage — instead of blindly re-running it.
 func (c *Coordinator) restoreReplay(replay []ReplayedJob) {
 	now := time.Now()
@@ -288,7 +300,6 @@ func (c *Coordinator) restoreReplay(replay []ReplayedJob) {
 			worker:   rj.Worker,
 			remoteID: rj.RemoteID,
 			assigns:  rj.Assigns,
-			stolen:   rj.Stolen,
 			state:    service.JobQueued,
 			created:  now,
 			done:     make(chan struct{}),
@@ -303,20 +314,19 @@ func (c *Coordinator) restoreReplay(replay []ReplayedJob) {
 			job.finished = now
 			close(job.done)
 			c.terminal++
-			if rj.State == service.JobDone && rj.Worker != "" {
-				c.noteCompletedLocked(rj.Key, rj.Worker)
-			}
 		default:
+			c.byKey[job.key] = job
+			if c.members[job.worker] == nil {
+				// Unplaced, or placed on a worker no longer in the fleet.
+				job.worker, job.remoteID = "", ""
+			}
 			if _, cached := c.store.GetLocal(rj.Key); cached {
 				// The result landed before the crash; the journal just
 				// missed the terminal record. Close it out, durably.
 				job.worker, job.remoteID = "", ""
-				c.byKey[job.key] = job
 				c.counters.Add("cache_hits", 1)
 				c.finishLocked(job, service.JobDone, "", "")
-				continue
 			}
-			c.byKey[job.key] = job
 		}
 	}
 	c.evictLocked()
@@ -349,15 +359,16 @@ func (c *Coordinator) Journal() *Journal { return c.journal }
 // off it).
 func (c *Coordinator) Done() <-chan struct{} { return c.stopCh }
 
-// Start launches the control loop.
+// Start launches the probe loop, which starts each worker's lanes once
+// the worker answers.
 func (c *Coordinator) Start() {
 	c.wg.Add(1)
 	go c.run()
 }
 
-// Shutdown stops the control loop. Worker daemons are separate
-// processes and keep draining on their own; in-flight cluster job
-// records freeze at their last observed state.
+// Shutdown stops the probe loop and the lanes. Worker daemons are
+// separate processes and keep draining on their own; in-flight cluster
+// job records freeze at their last observed state.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.mu.Lock()
 	if c.closed {
@@ -366,6 +377,8 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 	c.closed = true
 	close(c.stopCh)
+	c.stopAll()
+	c.cond.Broadcast()
 	c.mu.Unlock()
 
 	doneCh := make(chan struct{})
@@ -373,8 +386,8 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	select {
 	case <-doneCh:
 		// No terminal records are written here: for the journal, shutdown
-		// is a crash, and replay + worker reconciliation is the recovery
-		// path either way.
+		// is a crash, and replay + lane re-attachment is the recovery path
+		// either way.
 		return c.journal.Close()
 	case <-ctx.Done():
 		return ctx.Err()
@@ -420,7 +433,7 @@ type MemberStatus struct {
 	Name  string `json:"name"`
 	URL   string `json:"url"`
 	Alive bool   `json:"alive"`
-	Jobs  int    `json:"jobs"` // non-terminal cluster jobs assigned here
+	Jobs  int    `json:"jobs"` // non-terminal cluster jobs placed here
 }
 
 // Members snapshots the fleet, sorted by name.
@@ -452,8 +465,8 @@ func terminalState(st service.JobState) bool {
 //
 // The cache probe is local-only (memory + disk): fresh work must not
 // pay a fleet-wide round of peer RPCs per submission. A key some worker
-// has cached anyway dedups remotely — the worker answers its dispatch
-// with an instant done.
+// has cached anyway dedups remotely — the worker answers the lane's
+// post with an instant done.
 func (c *Coordinator) Submit(req service.Request) (JobStatus, bool, error) {
 	key, err := req.Key() // validates and canonicalizes
 	if err != nil {
@@ -505,17 +518,9 @@ func (c *Coordinator) Submit(req service.Request) (JobStatus, bool, error) {
 	c.byKey[key] = job
 	c.order = append(c.order, job.id)
 	c.evictLocked()
-	c.kickLocked()
+	c.cond.Broadcast()
 	c.cfg.Logf("cluster: %s queued: %s key=%.12s", job.id, req.Experiment, key)
 	return c.statusLocked(job), true, nil
-}
-
-// kickLocked nudges the control loop to dispatch soon.
-func (c *Coordinator) kickLocked() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
 }
 
 // Job returns the identified job's snapshot.
@@ -570,44 +575,23 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// Cancel requests cancellation: unassigned queued jobs cancel on the
-// spot; assigned jobs get a best-effort remote DELETE now and are
-// re-DELETEd by the reconcile loop until the worker confirms, so a
-// partition during cancel cannot resurrect the job.
+// Cancel requests cancellation. A job that no lane holds and no worker
+// has cancels on the spot. Otherwise the lane driving it (or the next
+// lane to attach to it) sends the worker's DELETE, retrying through RPC
+// failures, and the job ends cancelled once the worker reports it so —
+// a partition during cancel cannot resurrect the job.
 func (c *Coordinator) Cancel(id string) (JobStatus, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	job, ok := c.jobs[id]
 	if !ok {
-		c.mu.Unlock()
 		return JobStatus{}, service.ErrUnknownJob
 	}
 	job.cancel = true
-	if !terminalState(job.state) && job.worker == "" {
+	if !job.held && job.remoteID == "" {
 		c.finishLocked(job, service.JobCancelled, "cancelled while queued", "")
 	}
-	worker, remoteID := job.worker, job.remoteID
-	var url string
-	if m := c.members[worker]; m != nil {
-		url = m.url
-	}
-	c.mu.Unlock()
-
-	if url != "" && remoteID != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-		var rst service.JobStatus
-		err := c.client.do(ctx, worker, http.MethodDelete, url+"/v1/jobs/"+remoteID, nil, &rst)
-		cancel()
-		if err == nil {
-			c.mu.Lock()
-			if job.worker == worker && job.remoteID == remoteID {
-				c.applyRemoteLocked(job, rst)
-			}
-			c.mu.Unlock()
-		} else {
-			c.counters.Add("rpc_errors", 1)
-		}
-	}
-	return c.Job(id)
+	return c.statusLocked(job), nil
 }
 
 // statusLocked snapshots a job.
@@ -626,7 +610,6 @@ func (c *Coordinator) statusLocked(job *cjob) JobStatus {
 			CPI:        job.cpi,
 		},
 		Worker: job.worker,
-		Stolen: job.stolen,
 	}
 	if job.state == service.JobDone {
 		st.ResultKey = job.key
@@ -691,109 +674,87 @@ func (c *Coordinator) evictLocked() {
 	}
 }
 
-// noteCompletedLocked records which worker holds a finished key.
-func (c *Coordinator) noteCompletedLocked(key, worker string) {
-	if _, seen := c.completedOn[key]; !seen {
-		c.completedLog = append(c.completedLog, key)
-		if len(c.completedLog) > completedOnCap {
-			delete(c.completedOn, c.completedLog[0])
-			c.completedLog = c.completedLog[1:]
-		}
-	}
-	c.completedOn[key] = worker
+// placeLocked records that job lives on worker as remoteID, journaled
+// before the table changes.
+func (c *Coordinator) placeLocked(job *cjob, worker, remoteID string) {
+	c.jlog(c.journal.Assign(job.id, worker, remoteID, job.assigns))
+	job.worker, job.remoteID = worker, remoteID
 }
 
-// applyRemoteLocked folds one observed remote job status into the
-// cluster job. Remote cancellations the client never asked for (an
-// out-of-band DELETE straight to the worker) requeue the job rather
-// than losing it.
-func (c *Coordinator) applyRemoteLocked(job *cjob, rst service.JobStatus) {
+// requeueLocked hands a job back to the queue, counting why: its
+// placement is journaled away and any idle lane may claim it. A job the
+// client has cancelled ends cancelled instead, since no worker holds it
+// any more.
+func (c *Coordinator) requeueLocked(job *cjob, why string) {
+	job.held = false
 	if terminalState(job.state) {
 		return
 	}
-	switch rst.State {
+	if job.worker != "" {
+		c.jlog(c.journal.Unassign(job.id))
+		job.worker, job.remoteID = "", ""
+	}
+	c.counters.Add(why, 1)
+	c.cfg.Logf("cluster: %s requeued (%s)", job.id, why)
+	if job.cancel {
+		c.finishLocked(job, service.JobCancelled, "cancelled", "")
+		return
+	}
+	job.state = service.JobQueued
+	c.cond.Broadcast()
+}
+
+// observeLocked mirrors a worker-reported status onto the job. A job the
+// worker reports done reads as running until its result is durable here.
+func observeLocked(job *cjob, st service.JobStatus) {
+	switch st.State {
 	case service.JobQueued:
 		job.state = service.JobQueued
-	case service.JobRunning:
-		job.state = service.JobRunning
-		if job.started.IsZero() {
-			if rst.Started != nil {
-				job.started = *rst.Started
-			} else {
-				job.started = time.Now()
-			}
-		}
-	case service.JobDone:
-		if job.remoteDone {
-			return // already awaiting replication
-		}
-		job.cpi = rst.CPI
-		job.remoteDone = true
-		job.fetchTries = 0
-		c.noteCompletedLocked(job.key, job.worker)
-		// Not terminal yet: warmResults finishes the job once the result
-		// is replicated. Running (not queued) so it can't be stolen or
-		// re-dispatched meanwhile.
+	case service.JobRunning, service.JobDone:
 		job.state = service.JobRunning
 		if job.started.IsZero() {
 			job.started = time.Now()
+			if st.Started != nil {
+				job.started = *st.Started
+			}
 		}
-	case service.JobFailed:
-		c.finishLocked(job, service.JobFailed, rst.Error, rst.ErrorKind)
-	case service.JobCancelled:
-		if job.cancel {
-			c.finishLocked(job, service.JobCancelled, "cancelled", "")
-			return
-		}
-		c.unassignLocked(job)
-		c.counters.Add("requeued_cancelled", 1)
 	}
 }
 
-// unassignLocked returns an assigned job to the dispatchable pool.
-func (c *Coordinator) unassignLocked(job *cjob) {
-	if job.worker != "" {
-		c.jlog(c.journal.Unassign(job.id))
-	}
-	job.worker, job.remoteID = "", ""
-	job.state = service.JobQueued
-	job.remoteDone = false
-	job.fetchTries = 0
-	c.kickLocked()
-}
-
-// run is the control loop. Every membership and placement transition
-// happens on this goroutine, which is what keeps dispatch, reconcile,
-// steal and death-rehash from racing one another.
+// run is the probe loop: an immediate first round (readyz and the
+// lanes need not wait), then one round per ProbeInterval.
 func (c *Coordinator) run() {
 	defer c.wg.Done()
-	c.probe() // immediate first round: readyz and dispatch need not wait
-	c.dispatch()
-	probeT := time.NewTicker(c.cfg.ProbeInterval)
-	defer probeT.Stop()
-	pollT := time.NewTicker(c.cfg.PollInterval)
-	defer pollT.Stop()
+	c.probe()
+	t := time.NewTicker(c.cfg.ProbeInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-c.stopCh:
 			return
-		case <-probeT.C:
+		case <-t.C:
 			c.probe()
-			c.dispatch()
-		case <-pollT.C:
-			c.reconcile()
-			c.steal()
-			c.dispatch()
-			c.warmResults()
-		case <-c.kick:
-			c.dispatch()
 		}
 	}
 }
 
-// probe health-checks every member in parallel and applies liveness
-// transitions: DeadAfter consecutive failures kill a worker (its jobs
-// are re-hashed); one success revives it.
+// workerListing is the part of a worker's GET /v1/jobs reply the probe
+// reads.
+type workerListing struct {
+	Jobs []struct {
+		ID        string           `json:"id"`
+		State     service.JobState `json:"state"`
+		ResultKey string           `json:"result_key"`
+	} `json:"jobs"`
+	Workers int `json:"workers"`
+}
+
+// probe is the only per-worker heartbeat: one GET /v1/jobs listing per
+// member, all in parallel. That one RPC decides liveness, sizes the
+// member's lanes from its reported job concurrency, adopts work the
+// worker already holds, and — because a listing at the current epoch
+// is the fence's re-registration handshake — re-registers any worker
+// that adopted this coordinator's epoch, a restarted one included.
 func (c *Coordinator) probe() {
 	if c.Fenced() {
 		return
@@ -805,382 +766,312 @@ func (c *Coordinator) probe() {
 	}
 	c.mu.Unlock()
 
-	results := make(map[string]bool, len(targets))
-	var (
-		rmu sync.Mutex
-		wg  sync.WaitGroup
-	)
-	for _, m := range targets {
+	listings := make([]*workerListing, len(targets))
+	var wg sync.WaitGroup
+	for i, m := range targets {
 		wg.Add(1)
-		go func(name, url string) {
+		go func(i int, m *member) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 			defer cancel()
 			// Retries ride inside ProbeTimeout: a blip doesn't count as a
 			// failed round, but a dead worker still fails the round on time.
-			err := c.client.doIdempotent(ctx, name, http.MethodGet, url+"/v1/healthz", nil, nil)
-			rmu.Lock()
-			results[name] = err == nil
-			rmu.Unlock()
-		}(m.name, m.url)
+			var l workerListing
+			if c.client.doIdempotent(ctx, m.name, http.MethodGet, m.url+"/v1/jobs", nil, &l) == nil {
+				listings[i] = &l
+			}
+		}(i, m)
 	}
 	wg.Wait()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	changed := false
-	for name, ok := range results {
-		m := c.members[name]
-		if ok {
-			m.fails = 0
-			if !m.alive {
-				m.alive = true
-				changed = true
-				c.counters.Add("worker_joined", 1)
-				c.jlog(c.journal.Member(name, true))
-				c.cfg.Logf("cluster: worker %s alive", name)
-			}
-			continue
+	for i, m := range targets {
+		if l := listings[i]; l != nil {
+			c.upLocked(m, l)
+		} else {
+			c.downLocked(m)
 		}
-		m.fails++
-		if m.alive && m.fails >= c.cfg.DeadAfter {
-			m.alive = false
-			changed = true
-			c.counters.Add("worker_dead", 1)
-			c.jlog(c.journal.Member(name, false))
-			c.cfg.Logf("cluster: worker %s dead after %d failed probes", name, m.fails)
-			c.rehashDeadLocked(name)
-		}
-	}
-	if changed {
-		live := make([]string, 0, len(c.members))
-		for _, m := range c.members {
-			if m.alive {
-				live = append(live, m.name)
-			}
-		}
-		c.ring = NewRing(c.cfg.VNodes, live...)
 	}
 	c.probed = true
 }
 
-// rehashDeadLocked requeues every non-terminal job assigned to a dead
-// worker; the next dispatch places each on the ring rebuilt without it.
-func (c *Coordinator) rehashDeadLocked(name string) {
-	for _, job := range c.jobs {
-		if job.worker == name && !terminalState(job.state) {
-			c.unassignLocked(job)
-			c.counters.Add("rehashed", 1)
-			c.cfg.Logf("cluster: %s rehashed off dead %s", job.id, name)
+// upLocked applies a successful probe: a member coming up joins, its
+// lane count follows the worker's reported concurrency (lanesFor), and
+// unplaced jobs the worker already has queued or running are adopted:
+// work a previous coordinator posted without journaling the placement
+// (a crash between the two, or a fenced-off primary still dispatching)
+// is attached to, not run a second time.
+func (c *Coordinator) upLocked(m *member, l *workerListing) {
+	m.fails = 0
+	if !m.alive {
+		m.alive, m.down = true, false
+		m.ctx, m.stop = context.WithCancel(c.ctx)
+		m.lanes = 0
+		c.counters.Add("worker_joined", 1)
+		c.jlog(c.journal.Member(m.name, true))
+		c.cfg.Logf("cluster: worker %s alive", m.name)
+	}
+	for _, st := range l.Jobs {
+		if st.State != service.JobQueued && st.State != service.JobRunning {
+			continue
 		}
+		if job := c.byKey[st.ResultKey]; job != nil && job.worker == "" && !job.held {
+			c.placeLocked(job, m.name, st.ID)
+			c.counters.Add("adopted", 1)
+		}
+	}
+	m.want = lanesFor(l.Workers)
+	if m.lanes > m.want {
+		c.cond.Broadcast() // surplus lanes retire at their next claim
+	}
+	for ; m.lanes < m.want && !c.closed && !c.fenced; m.lanes++ {
+		c.wg.Add(1)
+		go c.lane(m.ctx, m)
 	}
 }
 
-// dispatch places every unassigned queued job on its ring owner.
-func (c *Coordinator) dispatch() {
-	c.mu.Lock()
-	if c.closed || c.fenced {
-		c.mu.Unlock()
+// downLocked applies a failed probe. DeadAfter consecutive failures
+// declare the member dead — once, whether or not it was ever alive: its
+// lanes are stopped (each hands its job back to the queue) and jobs
+// placed on it that no lane holds are requeued on the spot.
+func (c *Coordinator) downLocked(m *member) {
+	m.fails++
+	if m.down || m.fails < c.cfg.DeadAfter {
 		return
 	}
-	ring := c.ring
-	urls := c.liveURLsLocked()
-	var pending []*cjob
-	for _, id := range c.order {
-		job := c.jobs[id]
-		if job.state == service.JobQueued && job.worker == "" && !job.cancel {
-			pending = append(pending, job)
+	if m.stop != nil {
+		m.stop()
+	}
+	m.alive, m.down = false, true
+	c.counters.Add("worker_dead", 1)
+	c.jlog(c.journal.Member(m.name, false))
+	c.cfg.Logf("cluster: worker %s dead after %d failed probes", m.name, m.fails)
+	for _, job := range c.jobs {
+		if job.worker == m.name && !job.held {
+			c.requeueLocked(job, "rehashed")
 		}
 	}
-	c.mu.Unlock()
-	if ring.Len() == 0 || len(pending) == 0 {
-		return
-	}
+	c.cond.Broadcast()
+}
 
-	for _, job := range pending {
-		owner, ok := ring.Owner(job.key)
-		if !ok {
+// lane is one dispatch slot on worker m: it claims the next job, drives
+// it to a terminal state or back to the queue, and repeats until m dies
+// (ctx ends), the lane is surplus, or the coordinator stops.
+func (c *Coordinator) lane(ctx context.Context, m *member) {
+	defer c.wg.Done()
+	for {
+		job := c.claim(ctx, m)
+		if job == nil {
 			return
 		}
-		url := urls[owner]
-		if url == "" {
-			continue
-		}
-		c.mu.Lock()
-		if job.assigns >= c.cfg.MaxAssigns {
-			c.finishLocked(job, service.JobFailed,
-				fmt.Sprintf("exceeded %d worker assignments", c.cfg.MaxAssigns), "cluster")
-			c.mu.Unlock()
-			continue
-		}
-		c.mu.Unlock()
-		c.assign(job, owner, url, false)
+		c.drive(ctx, m, job)
 	}
 }
 
-// assign submits one job to one worker and records the placement. The
-// steal flag marks reassignments taken from a straggler.
-func (c *Coordinator) assign(job *cjob, worker, url string, steal bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-	defer cancel()
-	var sr struct {
-		service.JobStatus
-		Deduped bool `json:"deduped"`
-	}
-	err := c.client.do(ctx, worker, http.MethodPost, url+"/v1/jobs", job.req, &sr)
+// claim blocks until a job is available for m's lane and takes it: the
+// oldest job already placed on m (by the journal or by adoption) first,
+// else the oldest unplaced one. nil means the lane should exit.
+func (c *Coordinator) claim(ctx context.Context, m *member) *cjob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err != nil {
-		if StatusCode(err) == http.StatusTooManyRequests {
-			c.counters.Add("dispatch_backpressure", 1)
-		} else {
-			c.counters.Add("rpc_errors", 1)
-			c.cfg.Logf("cluster: dispatch %s to %s: %v", job.id, worker, err)
+	for {
+		if c.closed || c.fenced || ctx.Err() != nil {
+			return nil
 		}
-		return // stays unassigned; next tick retries
-	}
-	if terminalState(job.state) || job.cancel || job.worker != "" {
-		return // cancelled or re-placed while the RPC was in flight
-	}
-	stolen := job.stolen
-	if steal {
-		stolen++
-	}
-	c.jlog(c.journal.Assign(job.id, worker, sr.ID, job.assigns+1, stolen, steal))
-	job.worker = worker
-	job.remoteID = sr.ID
-	job.assigns++
-	if steal {
-		job.stolen++
-		c.counters.Add("stolen", 1)
-	}
-	c.counters.Add("dispatched", 1)
-	c.cfg.Logf("cluster: %s -> %s as %s", job.id, worker, sr.ID)
-	c.applyRemoteLocked(job, sr.JobStatus) // instant done on a worker cache hit
-}
-
-// reconcile polls each live worker's job list and folds the observed
-// states into cluster jobs; lost jobs (a worker that restarted without
-// its journal) requeue, and unconfirmed cancels are re-issued.
-func (c *Coordinator) reconcile() {
-	if c.Fenced() {
-		return
-	}
-	c.mu.Lock()
-	byWorker := make(map[string][]*cjob)
-	urls := c.liveURLsLocked()
-	for _, job := range c.jobs {
-		if !terminalState(job.state) && job.worker != "" && job.remoteID != "" {
-			byWorker[job.worker] = append(byWorker[job.worker], job)
+		if m.lanes > m.want {
+			m.lanes--
+			return nil
 		}
-	}
-	c.mu.Unlock()
-
-	type delTarget struct {
-		worker, url, remoteID string
-		job                   *cjob
-	}
-	var dels []delTarget
-	// Every live worker is listed, not just those holding assignments:
-	// the listing doubles as the epoch-fence re-registration handshake
-	// (a worker that adopted a new coordinator epoch reports not-ready
-	// until the coordinator has seen its job table), so idle workers
-	// must be reconciled too.
-	for worker, url := range urls {
-		assigned := byWorker[worker]
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-		var list struct {
-			Jobs []service.JobStatus `json:"jobs"`
-		}
-		err := c.client.doIdempotent(ctx, worker, http.MethodGet, url+"/v1/jobs", nil, &list)
-		cancel()
-		if err != nil {
-			c.counters.Add("rpc_errors", 1)
-			continue
-		}
-		byID := make(map[string]service.JobStatus, len(list.Jobs))
-		for _, st := range list.Jobs {
-			byID[st.ID] = st
-		}
-		c.mu.Lock()
-		for _, job := range assigned {
-			if terminalState(job.state) || job.worker != worker {
+		var next *cjob
+		for _, id := range c.order {
+			job := c.jobs[id]
+			if job.held || terminalState(job.state) {
 				continue
 			}
-			rst, ok := byID[job.remoteID]
-			if !ok {
-				// The worker no longer knows the job: it restarted without
-				// journal replay or evicted the record. Rerun elsewhere.
-				c.unassignLocked(job)
-				c.counters.Add("requeued_lost", 1)
-				c.cfg.Logf("cluster: %s lost by %s, requeued", job.id, worker)
-				continue
+			if job.worker == m.name {
+				next = job
+				break
 			}
-			c.applyRemoteLocked(job, rst)
-			if job.cancel && !terminalState(job.state) && !job.remoteDone {
-				dels = append(dels, delTarget{worker, url, job.remoteID, job})
+			if job.worker == "" && next == nil {
+				next = job
 			}
 		}
-		c.mu.Unlock()
-	}
-
-	for _, d := range dels {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-		var rst service.JobStatus
-		err := c.client.do(ctx, d.worker, http.MethodDelete, d.url+"/v1/jobs/"+d.remoteID, nil, &rst)
-		cancel()
-		if err != nil {
-			c.counters.Add("rpc_errors", 1)
-			continue
+		if next != nil {
+			next.held = true
+			return next
 		}
-		c.mu.Lock()
-		if d.job.worker == d.worker && d.job.remoteID == d.remoteID {
-			c.applyRemoteLocked(d.job, rst)
-		}
-		c.mu.Unlock()
+		c.cond.Wait()
 	}
 }
 
-// steal rebalances: when a worker sits idle while another holds at
-// least StealMargin worker-queued cluster jobs, the coordinator cancels
-// the straggler's most recently queued job and resubmits it to the idle
-// worker. One steal per idle worker per round keeps the churn bounded.
-func (c *Coordinator) steal() {
-	if c.Fenced() {
-		return
-	}
+// drive takes one claimed job through its life on m's worker: post it
+// (or attach to its recorded placement), long-poll its status, send the
+// DELETE if the client cancels, and on done make the result durable
+// here. Other outcomes hand the job back to the queue, or — when the
+// coordinator stops — leave it to the journal.
+func (c *Coordinator) drive(ctx context.Context, m *member, job *cjob) {
 	c.mu.Lock()
-	urls := c.liveURLsLocked()
-	queuedBy := make(map[string][]*cjob)
-	busy := make(map[string]int)
-	for _, job := range c.jobs {
-		if terminalState(job.state) || job.worker == "" {
-			continue
-		}
-		busy[job.worker]++
-		if job.state == service.JobQueued && !job.cancel {
-			queuedBy[job.worker] = append(queuedBy[job.worker], job)
-		}
-	}
-	var idle []string
-	for name := range urls {
-		if busy[name] == 0 {
-			idle = append(idle, name)
-		}
-	}
-	sort.Strings(idle)
+	rid := job.remoteID
 	c.mu.Unlock()
-	if len(idle) == 0 {
-		return
-	}
-
-	for _, thief := range idle {
-		// Most-loaded straggler with at least StealMargin queued.
-		var victim string
-		for name, q := range queuedBy {
-			if name == thief || urls[name] == "" || len(q) < c.cfg.StealMargin {
-				continue
-			}
-			if victim == "" || len(q) > len(queuedBy[victim]) ||
-				(len(q) == len(queuedBy[victim]) && name < victim) {
-				victim = name
-			}
-		}
-		if victim == "" {
+	var st service.JobStatus // zero State: attached, nothing observed yet
+	if rid == "" {
+		var ok bool
+		if st, ok = c.post(ctx, m, job); !ok {
 			return
 		}
-		q := queuedBy[victim]
-		job := q[len(q)-1] // LIFO: keep the victim's FIFO head in place
-		queuedBy[victim] = q[:len(q)-1]
-
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-		var rst service.JobStatus
-		err := c.client.do(ctx, victim, http.MethodDelete, urls[victim]+"/v1/jobs/"+job.remoteID, nil, &rst)
-		cancel()
-		if err != nil {
-			if StatusCode(err) == http.StatusNotFound {
-				c.mu.Lock()
-				if !terminalState(job.state) && job.worker == victim {
-					c.unassignLocked(job)
-					c.counters.Add("requeued_lost", 1)
-				}
-				c.mu.Unlock()
-			} else {
-				c.counters.Add("rpc_errors", 1)
+		rid = st.ID
+	}
+	jobURL := m.url + "/v1/jobs/" + rid
+	pollURL := jobURL + "?wait=" + c.cfg.PollInterval.String()
+	cancelSent := false
+	for {
+		var err error
+		switch st.State {
+		case service.JobDone:
+			if err = c.complete(ctx, m, job, st); err == nil {
+				return
 			}
-			continue
-		}
-		if rst.State == service.JobDone || rst.State == service.JobFailed {
-			// Raced: the job finished between the poll and the DELETE.
+		case service.JobFailed:
 			c.mu.Lock()
-			if job.worker == victim {
-				c.applyRemoteLocked(job, rst)
+			c.finishLocked(job, service.JobFailed, st.Error, st.ErrorKind)
+			c.mu.Unlock()
+			return
+		case service.JobCancelled:
+			c.mu.Lock()
+			if job.cancel {
+				c.finishLocked(job, service.JobCancelled, "cancelled", "")
+			} else {
+				// Cancelled out of band (a DELETE straight to the worker):
+				// the client still wants the result.
+				c.requeueLocked(job, "requeued_cancelled")
 			}
 			c.mu.Unlock()
-			continue
-		}
-		// Cancelled (or cancelling): move it to the thief. Results are
-		// content-addressed and deterministic, so even a cancel that lost
-		// the race and let the run finish cannot corrupt anything — the
-		// two shards would store byte-identical results.
-		c.mu.Lock()
-		if terminalState(job.state) || job.cancel || job.worker != victim {
+			return
+		default: // queued, running, or not yet observed
+			c.mu.Lock()
+			observeLocked(job, st)
+			sendCancel := job.cancel && !cancelSent
 			c.mu.Unlock()
-			continue
+			if sendCancel {
+				err = c.client.do(ctx, m.name, http.MethodDelete, jobURL, nil, &st)
+				cancelSent = err == nil
+			} else {
+				pctx, cancel := context.WithTimeout(ctx, c.cfg.PollInterval+c.cfg.RPCTimeout)
+				err = c.client.do(pctx, m.name, http.MethodGet, pollURL, nil, &st)
+				cancel()
+			}
 		}
-		c.jlog(c.journal.Unassign(job.id))
-		job.worker, job.remoteID = "", ""
-		c.mu.Unlock()
-		c.assign(job, thief, urls[thief], true)
+		if err != nil && !c.retry(ctx, m, job, err) {
+			return
+		}
 	}
 }
 
-// warmResults replicates worker-reported results into the
-// coordinator's own store and only then marks those jobs done (a Get
-// drives the store's peer tier, which asks the completing worker
-// first). This is the durability handshake: a job is never terminal
-// while its result lives only on a shard that might die. A result that
-// stays unfetchable for 3 rounds — worker died right after finishing —
-// sends the job back to dispatch for a rerun; determinism and
-// content-addressing make the rerun byte-identical, so nothing is
-// double-counted.
-func (c *Coordinator) warmResults() {
-	if c.Fenced() {
-		return
-	}
+// post sends a claimed job to m's worker and records the placement. A
+// job cancelled or out of assignments ends here; on an RPC failure it
+// goes back to the queue and the lane pauses, so a failing worker cannot
+// spin it.
+func (c *Coordinator) post(ctx context.Context, m *member, job *cjob) (service.JobStatus, bool) {
+	var st service.JobStatus
 	c.mu.Lock()
-	var pend []*cjob
-	for _, job := range c.jobs {
-		if job.remoteDone && !terminalState(job.state) {
-			pend = append(pend, job)
+	switch {
+	case job.cancel:
+		c.finishLocked(job, service.JobCancelled, "cancelled while queued", "")
+	case job.assigns >= c.cfg.MaxAssigns:
+		c.finishLocked(job, service.JobFailed,
+			fmt.Sprintf("exceeded %d worker assignments", c.cfg.MaxAssigns), "cluster")
+	}
+	ended := terminalState(job.state)
+	c.mu.Unlock()
+	if ended {
+		return st, false
+	}
+
+	err := c.client.do(ctx, m.name, http.MethodPost, m.url+"/v1/jobs", job.req, &st)
+	c.mu.Lock()
+	if err != nil {
+		switch {
+		case ctx.Err() != nil: // worker declared dead or coordinator stopping
+		case StatusCode(err) == http.StatusTooManyRequests:
+			c.counters.Add("dispatch_backpressure", 1)
+		default:
+			c.counters.Add("rpc_errors", 1)
+			c.cfg.Logf("cluster: dispatch %s to %s: %v", job.id, m.name, err)
 		}
+		job.held = false
+		c.cond.Broadcast()
+		c.mu.Unlock()
+		c.pause(ctx)
+		return st, false
+	}
+	job.assigns++
+	c.placeLocked(job, m.name, st.ID)
+	c.counters.Add("dispatched", 1)
+	c.mu.Unlock()
+	c.cfg.Logf("cluster: %s -> %s as %s", job.id, m.name, st.ID)
+	return st, true
+}
+
+// retry decides whether a lane keeps its job after a failed RPC. A
+// stopping coordinator leaves the job to the journal; a dead worker or a
+// 404 (the worker lost the job, or the result) hands it back to the
+// queue; anything else waits one PollInterval and tries again — the
+// probe, not one failed call, decides that a worker is gone.
+func (c *Coordinator) retry(ctx context.Context, m *member, job *cjob, err error) bool {
+	keep := false
+	c.mu.Lock()
+	switch {
+	case c.closed || c.fenced:
+	case ctx.Err() != nil:
+		c.requeueLocked(job, "rehashed")
+	case StatusCode(err) == http.StatusNotFound:
+		c.requeueLocked(job, "requeued_lost")
+	default:
+		c.counters.Add("rpc_errors", 1)
+		keep = true
 	}
 	c.mu.Unlock()
-	sort.Slice(pend, func(i, j int) bool { return pend[i].id < pend[j].id })
-	var landed []string
-	for _, job := range pend {
-		_, ok := c.store.Get(job.key)
-		c.mu.Lock()
-		switch {
-		case terminalState(job.state) || !job.remoteDone:
-			// raced with a concurrent transition; nothing to do
-		case ok:
-			c.counters.Add("results_warmed", 1)
-			c.finishLocked(job, service.JobDone, "", "")
-			landed = append(landed, job.key)
-		default:
-			job.fetchTries++
-			if job.fetchTries >= 3 {
-				c.counters.Add("warm_failures", 1)
-				c.cfg.Logf("cluster: %s done on %s but result unreachable; rerunning", job.id, job.worker)
-				c.unassignLocked(job)
-			}
-		}
-		c.mu.Unlock()
+	if keep {
+		c.cfg.Logf("cluster: %s on %s: %v", job.id, m.name, err)
+		c.pause(ctx)
 	}
-	for _, key := range landed {
-		c.replicate(key)
+	return keep
+}
+
+// pause waits one PollInterval, or until ctx ends.
+func (c *Coordinator) pause(ctx context.Context) {
+	t := time.NewTimer(c.cfg.PollInterval)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
 	}
+}
+
+// complete is the durability handshake for a job m's worker reports
+// done: the result envelope is copied into the coordinator's store, and
+// only then is the terminal record journaled (done ⇒ the result is
+// durable here, so a worker dying right after finishing costs a rerun,
+// never a done-but-unfetchable job). The envelope is then replicated.
+func (c *Coordinator) complete(ctx context.Context, m *member, job *cjob, st service.JobStatus) error {
+	env, err := c.client.getBytes(ctx, m.name, m.url+"/v1/store/"+job.key)
+	if err != nil {
+		return err
+	}
+	if env == nil {
+		return &statusError{code: http.StatusNotFound, body: "result envelope missing on " + m.name}
+	}
+	if err := c.store.PutEnvelope(job.key, env); err != nil {
+		return &statusError{code: http.StatusNotFound, body: err.Error()}
+	}
+	c.mu.Lock()
+	observeLocked(job, st)
+	job.cpi = st.CPI
+	c.finishLocked(job, service.JobDone, "", "")
+	c.mu.Unlock()
+	c.replicate(ctx, job.key, m.name, env)
+	return nil
 }
 
 // replicate pushes a freshly landed result envelope to the key's ring
@@ -1191,25 +1082,15 @@ func (c *Coordinator) warmResults() {
 // successor when the owner is gone. Failures are counted, not retried;
 // the coordinator's copy already satisfies the done ⇒ durable
 // handshake, and the next peer fetch self-heals the replica.
-func (c *Coordinator) replicate(key string) {
-	env, ok := c.store.Envelope(key)
-	if !ok {
-		c.counters.Add("replica_errors", 1)
-		return
-	}
+func (c *Coordinator) replicate(ctx context.Context, key, completer string, env []byte) {
 	c.mu.Lock()
 	urls := c.liveURLsLocked()
-	completer := c.completedOn[key]
-	owners := c.ring.Owners(key, 2)
 	c.mu.Unlock()
-	for _, name := range owners {
+	for _, name := range c.ring.Owners(key, 2) {
 		if name == completer || urls[name] == "" {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-		err := c.client.putBytes(ctx, name, urls[name]+"/v1/store/"+key, env)
-		cancel()
-		if err != nil {
+		if err := c.client.putBytes(ctx, name, urls[name]+"/v1/store/"+key, env); err != nil {
 			c.counters.Add("replica_errors", 1)
 			c.cfg.Logf("cluster: replicate %.12s to %s: %v", key, name, err)
 			continue
@@ -1229,36 +1110,29 @@ func (c *Coordinator) liveURLsLocked() map[string]string {
 	return out
 }
 
-// fetchEnvelope is the coordinator store's peer tier: candidates are
-// the worker that completed the key (authoritative for stolen and
-// rehashed jobs), then the ring owner and its successor (the RF=2
-// replica holder), then the rest of the live fleet. First hit wins;
-// all-404 is a clean miss; a miss with transport errors reports the
-// first error so the store counts it.
+// fetchEnvelope is the coordinator store's peer tier, for results that
+// have left its own tiers: candidates are the key's ring owner and
+// successor (the RF=2 replica holders), then the rest of the live
+// fleet. First hit wins; all-404 is a clean miss; a miss with transport
+// errors reports the first error so the store counts it.
 func (c *Coordinator) fetchEnvelope(ctx context.Context, key string) ([]byte, error) {
 	c.mu.Lock()
 	urls := c.liveURLsLocked()
+	c.mu.Unlock()
 	var cands []string
 	seen := make(map[string]bool)
 	add := func(name string) {
-		if name != "" && urls[name] != "" && !seen[name] {
+		if urls[name] != "" && !seen[name] {
 			seen[name] = true
 			cands = append(cands, name)
 		}
 	}
-	add(c.completedOn[key])
 	for _, owner := range c.ring.Owners(key, 2) {
 		add(owner)
 	}
-	rest := make([]string, 0, len(urls))
-	for name := range urls {
-		rest = append(rest, name)
-	}
-	sort.Strings(rest)
-	for _, name := range rest {
+	for _, name := range c.ring.Nodes() { // sorted
 		add(name)
 	}
-	c.mu.Unlock()
 
 	var firstErr error
 	for _, name := range cands {

@@ -64,9 +64,7 @@ func TestCoordinatorJournalRestart(t *testing.T) {
 	if len(replay) != 0 {
 		t.Fatalf("fresh journal replayed %d jobs", len(replay))
 	}
-	// StealMargin huge: placements stay put, so the exactly-once count
-	// has no benign steal noise.
-	coordA, _ := startCoordinator(t, nodes, Config{Node: "ca", Journal: journal, StealMargin: 1000})
+	coordA, _ := startCoordinator(t, nodes, Config{Node: "ca", Journal: journal})
 
 	reqs := tableReqs(6)
 	ids := make([]string, 0, len(reqs))
@@ -103,7 +101,7 @@ func TestCoordinatorJournalRestart(t *testing.T) {
 		t.Fatalf("replay carries %d terminal jobs, want >= 2", terminal)
 	}
 
-	coordB, _ := startCoordinator(t, nodes, Config{Node: "ca", Journal: journal2, Replay: replay, StealMargin: 1000})
+	coordB, _ := startCoordinator(t, nodes, Config{Node: "ca", Journal: journal2, Replay: replay})
 	if coordB.Counters().Get("journal_replays") != 1 {
 		t.Errorf("journal_replays = %d, want 1", coordB.Counters().Get("journal_replays"))
 	}
@@ -142,11 +140,11 @@ func TestStandbyPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coordA, tsA := startCoordinator(t, nodes, Config{Node: "ca", Epoch: 1, Journal: journalA, StealMargin: 1000})
+	coordA, tsA := startCoordinator(t, nodes, Config{Node: "ca", Epoch: 1, Journal: journalA})
 
 	// The standby gets its own journal mirror and lease file, and the
 	// same fleet view the primary has.
-	scfg := Config{Node: "cb", StealMargin: 1000,
+	scfg := Config{Node: "cb",
 		ProbeInterval: 50 * time.Millisecond, PollInterval: 25 * time.Millisecond,
 		ProbeTimeout: time.Second, RPCTimeout: 5 * time.Second, DeadAfter: 4}
 	for name, n := range nodes {
@@ -401,23 +399,23 @@ func TestLeaseFencing(t *testing.T) {
 	}
 }
 
-// TestStealDuringWorkerDeath: the straggler dies while the idle worker
-// is actively stealing from it — membership change concurrent with
-// in-flight steal RPCs. Nothing may be lost: every job finishes on the
-// survivor, exactly once each.
+// TestStealDuringWorkerDeath: the slow worker dies while its lanes hold
+// jobs the fast worker would otherwise have taken. Nothing is lost: its
+// jobs go back to the queue and finish on the survivor, every job
+// exactly once.
 func TestStealDuringWorkerDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node simulation sweep")
 	}
 	inj := faultinject.New(1)
-	inj.Set("worker.slow", faultinject.Rule{Kind: faultinject.Slow, Nth: 1, Delay: 600 * time.Millisecond})
+	inj.Set("worker.slow", faultinject.Rule{Kind: faultinject.Slow, Nth: 1, Delay: time.Second})
 	nodes := startWorkers(t, []string{"w1", "w2"}, service.SchedulerConfig{Workers: 1},
 		map[string]service.FaultPoints{"w1": inj})
-	coord, _ := startCoordinator(t, nodes, Config{StealMargin: 2, DeadAfter: 2})
+	coord, _ := startCoordinator(t, nodes, Config{DeadAfter: 2})
 
-	reqs := reqsOwnedBy(t, NewRing(0, "w1", "w2"), "w1", 6)
-	ids := make([]string, 0, len(reqs))
-	for _, req := range reqs {
+	const jobs = 8
+	ids := make([]string, 0, jobs)
+	for _, req := range tableReqs(jobs) {
 		st, _, err := coord.Submit(req)
 		if err != nil {
 			t.Fatal(err)
@@ -425,14 +423,27 @@ func TestStealDuringWorkerDeath(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 
-	// The moment the first steal lands, kill the victim: the steal round
-	// is still mid-flight against a worker that just vanished.
+	// Kill the slow worker once its lanes hold their first jobs and the
+	// fast worker has finished everything else.
 	deadline := time.Now().Add(20 * time.Second)
-	for coord.Counters().Get("stolen") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no steal ever happened")
+	for {
+		onW1, done := 0, 0
+		for _, st := range coord.Jobs() {
+			if st.Worker == "w1" {
+				onW1++
+			}
+			if st.State == service.JobDone {
+				done++
+			}
 		}
-		time.Sleep(time.Millisecond)
+		if onW1 > 0 && done == jobs-onW1 {
+			t.Logf("w1 holds %d jobs while w2 finished %d", onW1, done)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fast worker never drained the queue: %d on w1, %d done", onW1, done)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	nodes["w1"].ts.CloseClientConnections()
 	nodes["w1"].ts.Close()
@@ -448,9 +459,56 @@ func TestStealDuringWorkerDeath(t *testing.T) {
 			t.Errorf("job %s finished on %q, want survivor w2", id, fin.Worker)
 		}
 	}
-	if dead := coord.Counters().Get("worker_dead"); dead != 1 {
+	c := coord.Counters()
+	if got := c.Get("completed"); got != jobs {
+		t.Errorf("completed = %d, want %d", got, jobs)
+	}
+	if got := nodes["w2"].sched.Counters().Get("simulated"); got != jobs {
+		t.Errorf("survivor simulated %d jobs, want each of %d exactly once", got, jobs)
+	}
+	if dead := c.Get("worker_dead"); dead != 1 {
 		t.Errorf("worker_dead = %d, want 1", dead)
 	}
-	t.Logf("stolen=%d rehashed=%d rpc_errors=%d", coord.Counters().Get("stolen"),
-		coord.Counters().Get("rehashed"), coord.Counters().Get("rpc_errors"))
+	t.Logf("rehashed=%d rpc_errors=%d", c.Get("rehashed"), c.Get("rpc_errors"))
+}
+
+// TestReplayedPlacementOnDeadWorker: the journal replays a job placed on
+// a worker that never answers again. DeadAfter failed probes declare that
+// worker dead although this coordinator never saw it alive, so the job
+// goes back to the queue and finishes on the live worker instead of
+// waiting for the dead one forever.
+func TestReplayedPlacementOnDeadWorker(t *testing.T) {
+	nodes := startWorkers(t, []string{"w1"}, service.SchedulerConfig{Workers: 1}, nil)
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+
+	path := filepath.Join(t.TempDir(), "cluster.journal")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := tableReqs(1)[0]
+	j.Submit("c000001", mustKey(t, req), req)
+	j.Assign("c000001", "w2", "j000001", 1)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal, replay, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, _ := startCoordinator(t, nodes, Config{Journal: journal, Replay: replay, DeadAfter: 2,
+		Workers: []Member{{Name: "w2", URL: gone.URL}}})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	fin, err := coord.Wait(ctx, "c000001")
+	if err != nil || fin.State != service.JobDone || fin.Worker != "w1" {
+		c := coord.Counters()
+		t.Fatalf("replayed job: %+v err=%v (worker_dead=%d rehashed=%d)", fin, err,
+			c.Get("worker_dead"), c.Get("rehashed"))
+	}
+	if c := coord.Counters(); c.Get("worker_dead") != 1 || c.Get("rehashed") != 1 {
+		t.Errorf("worker_dead=%d rehashed=%d, want 1 and 1", c.Get("worker_dead"), c.Get("rehashed"))
+	}
 }

@@ -20,7 +20,7 @@ const EpochHeader = "X-Acbd-Epoch"
 // equal passes, lower is rejected with 409 Conflict and the current
 // epoch echoed back. That rejection is what makes split-brain
 // impossible: after a standby promotes, the partitioned old primary's
-// every dispatch, steal and cancel bounces off the fleet.
+// every post, poll and cancel bounces off the fleet.
 //
 // The fence also backs the worker's /v1/readyz: after adopting a new
 // epoch the worker reports not-ready until the new coordinator has

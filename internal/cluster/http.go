@@ -94,10 +94,8 @@ func submitCode(st JobStatus, created bool) int {
 
 func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req service.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad request body: %w", err))
+	if code, err := service.DecodeJSON(w, r, service.MaxRequestBytes, &req); err != nil {
+		writeError(w, code, fmt.Errorf("cluster: bad request body: %w", err))
 		return
 	}
 	st, created, err := srv.coord.Submit(req)
@@ -135,19 +133,24 @@ type batchResponse struct {
 	Jobs []batchItem `json:"jobs"`
 }
 
+// A batch holds at most maxBatch requests, and its body at most
+// maxBatchBytes: the byte cap is enforced while reading, so an oversized
+// batch is refused (413) before it is held in memory.
+const (
+	maxBatch      = 1024
+	maxBatchBytes = maxBatch * 4 << 10
+)
+
 func (srv *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad batch body: %w", err))
+	if code, err := service.DecodeJSON(w, r, maxBatchBytes, &req); err != nil {
+		writeError(w, code, fmt.Errorf("cluster: bad batch body: %w", err))
 		return
 	}
 	if len(req.Jobs) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: empty batch"))
 		return
 	}
-	const maxBatch = 1024
 	if len(req.Jobs) > maxBatch {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: batch of %d exceeds %d", len(req.Jobs), maxBatch))
 		return

@@ -12,23 +12,23 @@ import (
 // JournalVersion is the cluster journal's format-version header line.
 const JournalVersion = "acbd-cluster-journal/1"
 
-// centry is one cluster-journal record: a placement, dispatch, steal,
+// centry is one cluster-journal record: a submission, placement,
 // completion or membership transition, appended (fsync'd) before the
 // in-memory job table mutates. Op is one of submit | assign | unassign
-// | done | failed | cancelled | member.
+// | done | failed | cancelled | member. Fields a record carries but this
+// struct no longer has (older journals' steal counters) are ignored on
+// replay.
 type centry struct {
 	Op      string           `json:"op"`
 	ID      string           `json:"id,omitempty"`
 	Key     string           `json:"key,omitempty"`
 	Request *service.Request `json:"request,omitempty"`
-	// Placement payload: assign records the worker, its job ID for the
-	// dispatch, and the post-assignment counters (replay takes them
-	// verbatim — no re-counting rules to drift).
+	// Placement payload: assign records the worker, its job ID there,
+	// and the post-assignment count (replay takes it verbatim — no
+	// re-counting rules to drift).
 	Worker   string `json:"worker,omitempty"`
 	RemoteID string `json:"remote_id,omitempty"`
 	Assigns  int    `json:"assigns,omitempty"`
-	Stolen   int    `json:"stolen,omitempty"`
-	Steal    bool   `json:"steal,omitempty"`
 	// Terminal payload.
 	Err     string `json:"err,omitempty"`
 	ErrKind string `json:"err_kind,omitempty"`
@@ -39,10 +39,10 @@ type centry struct {
 
 // ReplayedJob is one cluster job recovered from a journal. Jobs with no
 // terminal record come back with State zero ("" → queued) plus their
-// last journaled placement, so a restarted coordinator re-probes the
-// assigned worker instead of blindly re-running. Jobs with a terminal
-// record come back with that state so clients polling their IDs across
-// a coordinator restart or failover still get answers; only
+// last journaled placement, so a restarted coordinator re-attaches to
+// the job on that worker instead of blindly re-running it. Jobs with a
+// terminal record come back with that state so clients polling their
+// IDs across a coordinator restart or failover still get answers; only
 // non-terminal jobs survive compaction on the next open.
 type ReplayedJob struct {
 	ID       string
@@ -51,7 +51,6 @@ type ReplayedJob struct {
 	Worker   string
 	RemoteID string
 	Assigns  int
-	Stolen   int
 	State    service.JobState // "" = still pending
 	Err      string
 	ErrKind  string
@@ -96,7 +95,7 @@ func OpenJournal(path string) (*Journal, []ReplayedJob, error) {
 		es := []centry{{Op: "submit", ID: rj.ID, Key: rj.Key, Request: &req, Time: now}}
 		if rj.Worker != "" {
 			es = append(es, centry{Op: "assign", ID: rj.ID, Worker: rj.Worker,
-				RemoteID: rj.RemoteID, Assigns: rj.Assigns, Stolen: rj.Stolen, Time: now})
+				RemoteID: rj.RemoteID, Assigns: rj.Assigns, Time: now})
 		}
 		for _, e := range es {
 			b, err := json.Marshal(e)
@@ -134,7 +133,7 @@ func reduceClusterJournal(recs []json.RawMessage) []ReplayedJob {
 		case "assign":
 			if a := acc[e.ID]; a != nil && !terminalState(a.State) {
 				a.Worker, a.RemoteID = e.Worker, e.RemoteID
-				a.Assigns, a.Stolen = e.Assigns, e.Stolen
+				a.Assigns = e.Assigns
 			}
 		case "unassign":
 			if a := acc[e.ID]; a != nil && !terminalState(a.State) {
@@ -196,19 +195,17 @@ func (j *Journal) Submit(id, key string, req service.Request) error {
 	return j.append(centry{Op: "submit", ID: id, Key: key, Request: &req, Time: time.Now().UTC()})
 }
 
-// Assign records a placement: job id dispatched to worker as remoteID,
-// with the post-assignment attempt counters. steal marks reassignments
-// taken from a straggler.
-func (j *Journal) Assign(id, worker, remoteID string, assigns, stolen int, steal bool) error {
+// Assign records a placement: job id lives on worker as remoteID, after
+// assigns posts to workers in total.
+func (j *Journal) Assign(id, worker, remoteID string, assigns int) error {
 	if j == nil {
 		return nil
 	}
-	return j.append(centry{Op: "assign", ID: id, Worker: worker, RemoteID: remoteID,
-		Assigns: assigns, Stolen: stolen, Steal: steal})
+	return j.append(centry{Op: "assign", ID: id, Worker: worker, RemoteID: remoteID, Assigns: assigns})
 }
 
-// Unassign records a job returned to the dispatchable pool (death
-// rehash, steal, lost worker, unfetchable result).
+// Unassign records a job returned to the queue (worker death, a job or
+// result the worker lost, an out-of-band cancel).
 func (j *Journal) Unassign(id string) error {
 	if j == nil {
 		return nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"acb/internal/service"
+	"acb/internal/wal"
 )
 
 // TestClusterJournalRoundTrip: submit/assign/unassign/terminal records
@@ -23,17 +25,17 @@ func TestClusterJournalRoundTrip(t *testing.T) {
 		t.Fatalf("fresh journal replayed %d jobs", len(replay))
 	}
 	reqs := tableReqs(3)
-	// c1: placed then finished. c2: placed, stolen to another worker.
-	// c3: placed then unassigned (its worker died).
+	// c1: placed then finished. c2: placed, requeued, placed on another
+	// worker. c3: placed then unassigned (its worker died).
 	j.Submit("c1", mustKey(t, reqs[0]), reqs[0])
-	j.Assign("c1", "w1", "j1", 1, 0, false)
+	j.Assign("c1", "w1", "j1", 1)
 	j.Terminal("c1", service.JobDone, "", "")
 	j.Submit("c2", mustKey(t, reqs[1]), reqs[1])
-	j.Assign("c2", "w1", "j2", 1, 0, false)
+	j.Assign("c2", "w1", "j2", 1)
 	j.Unassign("c2")
-	j.Assign("c2", "w2", "j9", 2, 1, true)
+	j.Assign("c2", "w2", "j9", 2)
 	j.Submit("c3", mustKey(t, reqs[2]), reqs[2])
-	j.Assign("c3", "w1", "j3", 1, 0, false)
+	j.Assign("c3", "w1", "j3", 1)
 	j.Unassign("c3")
 	j.Member("w1", false)
 	if err := j.Close(); err != nil {
@@ -59,8 +61,8 @@ func TestClusterJournalRoundTrip(t *testing.T) {
 		t.Errorf("c1 state %q, want done", rj.State)
 	}
 	rj := byID["c2"]
-	if rj.State != "" || rj.Worker != "w2" || rj.RemoteID != "j9" || rj.Assigns != 2 || rj.Stolen != 1 {
-		t.Errorf("c2 replay = %+v, want pending on w2/j9 assigns=2 stolen=1", rj)
+	if rj.State != "" || rj.Worker != "w2" || rj.RemoteID != "j9" || rj.Assigns != 2 {
+		t.Errorf("c2 replay = %+v, want pending on w2/j9 assigns=2", rj)
 	}
 	if rj := byID["c3"]; rj.State != "" || rj.Worker != "" || rj.RemoteID != "" {
 		t.Errorf("c3 replay = %+v, want pending and unplaced", rj)
@@ -81,14 +83,14 @@ func TestClusterJournalCompaction(t *testing.T) {
 	}
 	reqs := tableReqs(2)
 	j.Submit("c1", mustKey(t, reqs[0]), reqs[0])
-	j.Assign("c1", "w1", "j1", 1, 0, false)
+	j.Assign("c1", "w1", "j1", 1)
 	j.Terminal("c1", service.JobDone, "", "")
 	j.Submit("c2", mustKey(t, reqs[1]), reqs[1])
 	for i := 0; i < 5; i++ { // churn that compaction should squash
-		j.Assign("c2", "w1", "j2", i+1, i, i > 0)
+		j.Assign("c2", "w1", "j2", i+1)
 		j.Unassign("c2")
 	}
-	j.Assign("c2", "w2", "jF", 7, 5, true)
+	j.Assign("c2", "w2", "jF", 7)
 	j.Close()
 
 	j2, replay, err := OpenJournal(path)
@@ -129,7 +131,7 @@ func TestClusterJournalCompaction(t *testing.T) {
 	if len(replay) != 1 || replay[0].ID != "c2" {
 		t.Fatalf("second reopen replay = %+v, want just c2", replay)
 	}
-	if rj := replay[0]; rj.Worker != "w2" || rj.RemoteID != "jF" || rj.Assigns != 7 || rj.Stolen != 5 {
+	if rj := replay[0]; rj.Worker != "w2" || rj.RemoteID != "jF" || rj.Assigns != 7 {
 		t.Errorf("c2 placement lost in compaction: %+v", rj)
 	}
 }
@@ -191,7 +193,7 @@ func TestClusterJournalSnapshot(t *testing.T) {
 		t.Fatal("updated channel closed before any append")
 	default:
 	}
-	go j.Assign("c1", "w1", "j1", 1, 0, false)
+	go j.Assign("c1", "w1", "j1", 1)
 	select {
 	case <-updated:
 	case <-time.After(5 * time.Second):
@@ -203,5 +205,35 @@ func TestClusterJournalSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(string(recs[0]), `"assign"`) {
 		t.Errorf("incremental record = %s, want the assign", recs[0])
+	}
+}
+
+// TestClusterJournalReplaysStealFields: journals written while the
+// coordinator still stole work carry stolen/steal fields on assign
+// records. Replay ignores them and keeps the placement.
+func TestClusterJournalReplaysStealFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cluster.journal")
+	req := tableReqs(1)[0]
+	sub, err := json.Marshal(centry{Op: "submit", ID: "c1", Key: mustKey(t, req), Request: &req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"op":"assign","id":"c1","worker":"w2","remote_id":"j9","assigns":2,"stolen":1,"steal":true}`
+	l, err := wal.Create(path, JournalVersion, []interface{}{json.RawMessage(sub), json.RawMessage(old)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	j, replay, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(replay) != 1 {
+		t.Fatalf("replayed %d jobs, want 1", len(replay))
+	}
+	if rj := replay[0]; rj.State != "" || rj.Worker != "w2" || rj.RemoteID != "j9" || rj.Assigns != 2 {
+		t.Errorf("c1 replay = %+v, want pending on w2/j9 assigns=2", rj)
 	}
 }

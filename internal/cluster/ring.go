@@ -1,12 +1,13 @@
 // Package cluster scales acbd from one daemon to a fleet: a coordinator
-// consistent-hashes jobs by their content-address across worker shards,
-// steals queued work back from stragglers for idle workers, detects
-// worker death by heartbeat and re-hashes the orphaned jobs, serves
-// batched submission and streaming-results APIs for bulk sweep clients,
-// and rolls every node's /v1/metrics into one exposition with a node
-// label per series. Workers are plain acbd daemons (internal/service);
-// the only cluster-aware piece on a worker is the result store's peer
-// tier, which fetches missing results by key from the owning shard.
+// keeps a journaled job queue and pulls work through it onto worker
+// shards with per-worker lanes, detects worker death by heartbeat and
+// requeues the orphaned jobs, replicates every result to the key's
+// consistent-hash owners, serves batched submission and
+// streaming-results APIs for bulk sweep clients, and rolls every node's
+// /v1/metrics into one exposition with a node label per series. Workers
+// are plain acbd daemons (internal/service); the only cluster-aware
+// piece on a worker is the result store's peer tier, which fetches
+// missing results by key from the owning shard.
 //
 // Topology and failure semantics are documented in docs/CLUSTER.md.
 package cluster
@@ -20,11 +21,11 @@ import (
 )
 
 // Ring is an immutable consistent-hash ring: node names are placed on a
-// uint64 circle at VNodes points each, and a key is owned by the first
-// node clockwise of its hash. Immutability keeps reads lock-free — the
-// coordinator swaps in a rebuilt ring when membership changes, and the
-// worker-side peer fetcher never changes its ring at all (a dead owner
-// just means a peer miss, not a wrong answer).
+// uint64 circle at vnodes points each, and a key is owned by the first
+// node clockwise of its hash. Immutability keeps reads lock-free. The
+// coordinator and every worker build the same ring over the static
+// fleet and never change it (a dead owner just means a peer miss, not a
+// wrong answer), so replicas land where peer fetches look.
 //
 // Consistent hashing is what makes the peer result cache work: adding or
 // removing one shard moves only ~1/N of the key space, so almost every

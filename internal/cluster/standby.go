@@ -276,9 +276,9 @@ func (s *Standby) watchdog() {
 
 // promote turns the standby into the primary: fence the old one out by
 // advancing the lease epoch past everything observed, replay the
-// mirrored journal into a job table, and start a coordinator that
-// reconciles with the workers — in-flight jobs are re-probed where the
-// journal placed them, not re-run.
+// mirrored journal into a job table, and start a coordinator whose
+// lanes re-attach to in-flight jobs where the journal placed them, not
+// re-run them.
 func (s *Standby) promote() {
 	s.mu.Lock()
 	if s.promoting {

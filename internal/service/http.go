@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"acb/internal/expo"
 	"acb/internal/ooo"
@@ -17,9 +19,9 @@ import (
 //
 // API (see docs/SERVICE.md):
 //
-//	POST   /v1/jobs          submit a Request; 201 new, 200 dedup/cache hit, 429 queue full
-//	GET    /v1/jobs          list jobs in submission order
-//	GET    /v1/jobs/{id}     one job's status
+//	POST   /v1/jobs          submit a Request; 201 new, 200 dedup/cache hit, 429 queue full, 413 body too large
+//	GET    /v1/jobs          list jobs in submission order, plus the job concurrency ("workers")
+//	GET    /v1/jobs/{id}     one job's status (?wait=D long-polls until the job is terminal, at most MaxWait)
 //	DELETE /v1/jobs/{id}     cancel a queued or running job
 //	GET    /v1/results/{key} stored table (?format=json|csv|ascii, default json)
 //	GET    /v1/store/{key}   raw stored-result envelope from the local tiers (peer-fetch wire format)
@@ -121,12 +123,34 @@ type submitResponse struct {
 	Deduped bool `json:"deduped"`
 }
 
+// MaxRequestBytes bounds a POST /v1/jobs body (one Request) on workers,
+// single nodes and coordinators alike. Real requests are well under 1 KiB.
+const MaxRequestBytes = 64 << 10
+
+// MaxWait caps the ?wait= long-poll window of GET /v1/jobs/{id}.
+const MaxWait = time.Minute
+
+// DecodeJSON decodes r's body into v, rejecting unknown fields and any
+// body over limit bytes. On failure it returns the status to answer
+// with: 413 for an oversized body, 400 for anything else malformed.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return 0, nil
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return http.StatusBadRequest, err
+}
+
 func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
+	if code, err := DecodeJSON(w, r, MaxRequestBytes, &req); err != nil {
+		writeError(w, code, fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	st, created, err := srv.sched.Submit(req)
@@ -152,12 +176,34 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, submitResponse{JobStatus: st, Deduped: !created})
 }
 
+// handleListJobs lists the job table. "workers" reports the job
+// concurrency: a cluster coordinator sizes its dispatch lanes for this
+// node from it.
 func (srv *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": srv.sched.Jobs()})
+	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": srv.sched.Jobs(), "workers": srv.sched.Workers()})
 }
 
+// handleGetJob serves one job's status. With ?wait=D (a Go duration,
+// capped at MaxWait) it first blocks until the job is terminal or D has
+// passed, then answers with whatever state the job is in: a client
+// learns of a completion at once without polling on a fixed grid.
 func (srv *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	st, err := srv.sched.Job(r.PathValue("id"))
+	id := r.PathValue("id")
+	if q := r.URL.Query().Get("wait"); q != "" {
+		d, err := time.ParseDuration(q)
+		if err != nil || d < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad wait %q (want a duration like 250ms)", q))
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), min(d, MaxWait))
+		_, err = srv.sched.Wait(ctx, id)
+		cancel()
+		if errors.Is(err, ErrUnknownJob) {
+			writeError(w, http.StatusNotFound, err)
+			return
+		}
+	}
+	st, err := srv.sched.Job(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return

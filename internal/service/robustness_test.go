@@ -171,7 +171,7 @@ func TestRetryDelayDeterministic(t *testing.T) {
 	base, max := 250*time.Millisecond, 10*time.Second
 	a, b := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
 	for attempt := 1; attempt <= 12; attempt++ {
-		da, db := retryDelay(attempt, base, max, a), retryDelay(attempt, base, max, b)
+		da, db := Backoff(attempt-1, base, max, a), Backoff(attempt-1, base, max, b)
 		if da != db {
 			t.Fatalf("attempt %d: same seed gave %s vs %s", attempt, da, db)
 		}
@@ -183,7 +183,7 @@ func TestRetryDelayDeterministic(t *testing.T) {
 		}
 	}
 	// Deep attempts saturate at the cap's jitter band.
-	d := retryDelay(40, base, max, rand.New(rand.NewSource(3)))
+	d := Backoff(39, base, max, rand.New(rand.NewSource(3)))
 	if d < max/2 || d > max {
 		t.Fatalf("saturated delay %s outside [%s, %s]", d, max/2, max)
 	}

@@ -510,6 +510,10 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
 // QueueDepth returns the number of jobs waiting in the queue.
 func (s *Scheduler) QueueDepth() int { return len(s.queue) }
 
+// Workers returns how many jobs run concurrently (SchedulerConfig.Workers
+// after defaults).
+func (s *Scheduler) Workers() int { return s.cfg.Workers }
+
 // JobCounts returns a gauge of retained jobs per state.
 func (s *Scheduler) JobCounts() map[JobState]int {
 	s.mu.Lock()
@@ -692,7 +696,8 @@ func (s *Scheduler) runJob(job *Job) {
 func (s *Scheduler) requeueLocked(job *Job, cause error) {
 	job.state = JobQueued
 	job.err = cause.Error()
-	delay := retryDelay(job.attempts, s.cfg.RetryBase, s.cfg.RetryMax, s.retryRng)
+	// The run after attempt N waits min(RetryMax, RetryBase<<(N-1)).
+	delay := Backoff(job.attempts-1, s.cfg.RetryBase, s.cfg.RetryMax, s.retryRng)
 	s.counters.Add("retried", 1)
 	if job.journaled {
 		if jerr := s.journal.Requeue(job.ID, job.attempts); jerr != nil {
@@ -754,20 +759,18 @@ func (s *Scheduler) retryAfter(job *Job, delay time.Duration) {
 	}
 }
 
-// retryDelay computes the backoff before the run after attempt runs
-// have begun: exponential in the attempt number, capped at max, with
-// equal jitter (uniform in [d/2, d]) so a burst of transient failures
-// does not retry in lockstep.
-func retryDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Duration {
-	if attempt < 1 {
-		attempt = 1
+// Backoff is the one equal-jitter backoff step every retry loop in acbd
+// uses: d = base<<step capped at max (overflow-safe), then a delay drawn
+// uniformly from [d/2, d], so a burst of failures does not retry in
+// lockstep. Callers own the step numbering and the rng (and its
+// locking).
+func Backoff(step int, base, max time.Duration, rng *rand.Rand) time.Duration {
+	if step < 0 {
+		step = 0
 	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
+	d := max
+	if step < 63 && base <= max>>uint(step) {
+		d = base << uint(step)
 	}
 	half := d / 2
 	return half + time.Duration(rng.Int63n(int64(half)+1))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"acb/internal/experiments"
+	"acb/internal/faultinject"
 	"acb/internal/workload"
 )
 
@@ -528,5 +529,59 @@ func TestJobStatusJSONShape(t *testing.T) {
 	b, _ = json.Marshal(JobStatus{ID: "j000003", State: JobDone})
 	if bytes.Contains(b, []byte(`"error_kind"`)) {
 		t.Errorf("healthy job serialized an error kind: %s", b)
+	}
+}
+
+// TestServiceLongPoll: GET /v1/jobs/{id}?wait=D answers once the job is
+// terminal — one request instead of a poll loop — or with the live state
+// when D runs out first. A malformed or negative wait is a 400, an
+// unknown job a 404, and the listing reports the job concurrency.
+func TestServiceLongPoll(t *testing.T) {
+	inj := faultinject.New(1)
+	inj.Set("worker.slow", faultinject.Rule{Kind: faultinject.Slow, Nth: 1, Delay: 300 * time.Millisecond})
+	ts, _ := newTestServer(t, SchedulerConfig{Workers: 2, Faults: inj}, "")
+
+	first, code := postJob(t, ts, Request{Experiment: "table1", Seed: 1})
+	if code != http.StatusCreated {
+		t.Fatalf("submit = %d", code)
+	}
+	second, _ := postJob(t, ts, Request{Experiment: "table1", Seed: 2})
+	var st JobStatus
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+second.ID+"?wait=10ms", &st); code != http.StatusOK || st.State == JobDone {
+		t.Errorf("short wait on a 300ms job = %d %s, want 200 and not yet done", code, st.State)
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+first.ID+"?wait=30s", &st); code != http.StatusOK || st.State != JobDone {
+		t.Fatalf("long-poll = %d %s, want 200 done", code, st.State)
+	}
+
+	for _, q := range []string{"soon", "-1s", "5"} {
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+first.ID+"?wait="+q, nil); code != http.StatusBadRequest {
+			t.Errorf("wait=%s = %d, want 400", q, code)
+		}
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs/j999999?wait=1s", nil); code != http.StatusNotFound {
+		t.Errorf("long-poll on an unknown job = %d, want 404", code)
+	}
+	var list struct {
+		Workers int `json:"workers"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs", &list); code != http.StatusOK || list.Workers != 2 {
+		t.Errorf("listing = %d, workers %d, want 200 and 2", code, list.Workers)
+	}
+}
+
+// TestServiceSubmitBodyLimit: a POST /v1/jobs body over MaxRequestBytes
+// is refused with 413 while it is read.
+func TestServiceSubmitBodyLimit(t *testing.T) {
+	ts, _ := newTestServer(t, SchedulerConfig{}, "")
+	body := `{"experiment":"table1","workloads":["` + strings.Repeat("x", MaxRequestBytes) + `"]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit = %d, want 413", resp.StatusCode)
 	}
 }
