@@ -41,35 +41,36 @@ func (ck *Checkpoint) Restore() *ArchState {
 	return st
 }
 
-// RunFeed executes until Halt or until maxSteps instructions have executed,
-// like Run, but additionally feeds architectural events to the non-nil
-// callbacks: onBranch receives every conditional branch's (pc, taken)
-// outcome — the feed that functionally warms bpu predictors during
-// fast-forward — and onMem receives every load/store effective address,
-// which sampled simulation uses to keep a cache-warming trace.
-func (s *ArchState) RunFeed(prog []Instruction, maxSteps int64,
-	onBranch func(pc int, taken bool), onMem func(addr int64, store bool)) (steps int64, halted bool) {
+// Event is one architectural event that functional warming consumes: a
+// conditional branch outcome (Op Br, Addr its PC) or a load/store
+// effective address (Op Load or Store).
+type Event struct {
+	Addr  int64
+	Op    Op
+	Taken bool
+}
+
+// RunEvents executes like Run until Halt, until maxSteps instructions have
+// executed, or until events is full, appending one Event per conditional
+// branch, load and store. It never grows events: the caller passes a batch
+// with spare capacity and, when it comes back full, hands it on and
+// resumes with an empty one. Each instruction adds at most one event, so
+// a run cut into any number of calls yields the same concatenated events,
+// final state and step count as one uninterrupted call.
+func (s *ArchState) RunEvents(prog []Instruction, maxSteps int64, events []Event) (out []Event, steps int64, halted bool) {
 	var res StepResult
-	for steps < maxSteps {
+	for steps < maxSteps && len(events) < cap(events) {
 		s.step(prog, &res)
 		steps++
 		if res.Halted {
-			return steps, true
+			return events, steps, true
 		}
 		switch res.Inst.Op {
 		case Br:
-			if onBranch != nil {
-				onBranch(res.PC, res.Taken)
-			}
-		case Load:
-			if onMem != nil {
-				onMem(res.EffAddr, false)
-			}
-		case Store:
-			if onMem != nil {
-				onMem(res.EffAddr, true)
-			}
+			events = append(events, Event{Addr: int64(res.PC), Op: Br, Taken: res.Taken})
+		case Load, Store:
+			events = append(events, Event{Addr: res.EffAddr, Op: res.Inst.Op})
 		}
 	}
-	return steps, false
+	return events, steps, false
 }

@@ -9,12 +9,12 @@ import "testing"
 func TestMemoryNegativeAddresses(t *testing.T) {
 	m := NewMemory()
 	addrs := []int64{
-		-8,                    // last word of page -1
-		-pageBytes,            // first word of page -1
-		-pageBytes - 8,        // last word of page -2
-		-3 * pageBytes,        // deeper negative page
-		-1,                    // unaligned negative (word -8)
-		-pageBytes + 5,        // unaligned within page -1
+		-8,                        // last word of page -1
+		-pageBytes,                // first word of page -1
+		-pageBytes - 8,            // last word of page -2
+		-3 * pageBytes,            // deeper negative page
+		-1,                        // unaligned negative (word -8)
+		-pageBytes + 5,            // unaligned within page -1
 		0, 8, pageBytes, -8 << 20, // mixed positives and a far-negative
 	}
 	for i, a := range addrs {
@@ -78,48 +78,73 @@ func TestCheckpointRestoreIsDeep(t *testing.T) {
 	}
 }
 
-func TestRunFeedMatchesRunAndFeedsEvents(t *testing.T) {
+func TestRunEventsBatchBoundaries(t *testing.T) {
 	// r1 counts down from 3; loop body does a load and a store.
 	prog := []Instruction{
 		{Op: MovI, Rd: R1, Imm: 3},
-		{Op: Load, Rd: R2, Rs1: R1, Imm: 0x100},    // pc 1
-		{Op: Store, Rs1: R1, Rs2: R2, Imm: 0x200},  // pc 2
-		{Op: AddI, Rd: R1, Rs1: R1, Imm: -1},       // pc 3
-		{Op: Br, Rs1: R1, Cond: NEZ, Target: 1},    // pc 4
+		{Op: Load, Rd: R2, Rs1: R1, Imm: 0x100},   // pc 1
+		{Op: Store, Rs1: R1, Rs2: R2, Imm: 0x200}, // pc 2
+		{Op: AddI, Rd: R1, Rs1: R1, Imm: -1},      // pc 3
+		{Op: Br, Rs1: R1, Cond: NEZ, Target: 1},   // pc 4
 		{Op: Halt},
 	}
 	ref := NewArchState(nil)
 	refSteps, refHalted := ref.Run(prog, 1000)
+	// 3 iterations: a load and a store per iteration, the branch taken
+	// twice then not taken.
+	want := []Event{
+		{Addr: 0x103, Op: Load}, {Addr: 0x203, Op: Store}, {Addr: 4, Op: Br, Taken: true},
+		{Addr: 0x102, Op: Load}, {Addr: 0x202, Op: Store}, {Addr: 4, Op: Br, Taken: true},
+		{Addr: 0x101, Op: Load}, {Addr: 0x201, Op: Store}, {Addr: 4, Op: Br},
+	}
 
-	st := NewArchState(nil)
-	var branches []bool
-	var loads, stores int
-	steps, halted := st.RunFeed(prog, 1000,
-		func(pc int, taken bool) {
-			if pc != 4 {
-				t.Errorf("branch event at pc %d, want 4", pc)
+	if _, steps, _ := NewArchState(nil).RunEvents(prog, 1000, nil); steps != 0 {
+		t.Errorf("RunEvents with no room for events executed %d steps, want 0", steps)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		maxSteps int64 // per call
+	}{
+		{"one call halts mid-batch", 64, 1000},
+		{"one event per batch", 1, 1000},
+		{"last batch halts mid-batch", 2, 1000},
+		{"halt after a full batch", 3, 1000},
+		{"step-limited calls", 4, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewArchState(nil)
+			var got []Event
+			var steps, fullStops int64
+			halted := false
+			batch := make([]Event, 0, tc.capacity)
+			for calls := 0; !halted && calls < 100; calls++ {
+				var n int64
+				batch, n, halted = st.RunEvents(prog, tc.maxSteps, batch[:0])
+				steps += n
+				got = append(got, batch...)
+				if !halted && len(batch) == cap(batch) {
+					fullStops++
+				}
 			}
-			branches = append(branches, taken)
-		},
-		func(addr int64, store bool) {
-			if store {
-				stores++
-			} else {
-				loads++
+			if steps != refSteps || halted != refHalted {
+				t.Fatalf("RunEvents = (%d,%v), Run = (%d,%v)", steps, halted, refSteps, refHalted)
+			}
+			if st.PC != ref.PC || st.Regs != ref.Regs {
+				t.Fatalf("RunEvents state diverged from Run")
+			}
+			if len(got) != len(want) {
+				t.Fatalf("events = %+v, want %+v", got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			if tc.capacity < len(want) && fullStops == 0 {
+				t.Errorf("capacity %d: no call stopped at a full batch", tc.capacity)
 			}
 		})
-
-	if steps != refSteps || halted != refHalted {
-		t.Fatalf("RunFeed = (%d,%v), Run = (%d,%v)", steps, halted, refSteps, refHalted)
-	}
-	if st.PC != ref.PC || st.Regs != ref.Regs {
-		t.Fatalf("RunFeed state diverged from Run")
-	}
-	// 3 iterations: branch taken twice then not taken; 3 loads, 3 stores.
-	if len(branches) != 3 || !branches[0] || !branches[1] || branches[2] {
-		t.Errorf("branch feed = %v, want [true true false]", branches)
-	}
-	if loads != 3 || stores != 3 {
-		t.Errorf("mem feed = %d loads / %d stores, want 3/3", loads, stores)
 	}
 }

@@ -254,7 +254,7 @@ func (s *ArchState) Step(prog []Instruction) StepResult {
 	return res
 }
 
-// step is Step writing into a caller-owned result, so the Run/RunFeed hot
+// step is Step writing into a caller-owned result, so the Run/RunEvents hot
 // loops reuse one StepResult instead of copying ~80 bytes per instruction.
 func (s *ArchState) step(prog []Instruction, res *StepResult) {
 	if s.PC < 0 || s.PC >= len(prog) {

@@ -2,9 +2,11 @@ package sample
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"acb/internal/bpu"
 	"acb/internal/config"
@@ -15,7 +17,7 @@ import (
 	"acb/internal/workload"
 )
 
-func buildWorkload(t *testing.T, name string) ([]isa.Instruction, *isa.Memory) {
+func buildWorkload(t testing.TB, name string) ([]isa.Instruction, *isa.Memory) {
 	t.Helper()
 	w, err := workload.ByName(name)
 	if err != nil {
@@ -169,6 +171,74 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// countingPredictor is a pass-through predictor that counts its Predict
+// calls and calls onCall with each new count. Its clones are bare, so it
+// counts only the fast-forward's warming.
+type countingPredictor struct {
+	bpu.Predictor
+	calls  int
+	onCall func(n int)
+}
+
+func (p *countingPredictor) Predict(pc uint64, taken bool) bpu.Prediction {
+	p.calls++
+	if p.onCall != nil {
+		p.onCall(p.calls)
+	}
+	return p.Predictor.Predict(pc, taken)
+}
+
+func (p *countingPredictor) Clone() bpu.Predictor { return p.Predictor.(bpu.Cloner).Clone() }
+
+func TestFastForwardCancellation(t *testing.T) {
+	prog, image := buildWorkload(t, "soplex")
+	const budget = 1_000_000
+	plan := PlanForBudget(budget)
+	full := &countingPredictor{Predictor: bpu.NewTAGE(bpu.DefaultTAGEConfig())}
+	if _, err := Run(prog, image, plan, Options{Budget: budget,
+		NewPredictor: func() bpu.Predictor { return full }}); err != nil {
+		t.Fatalf("uncancelled run: %v", err)
+	}
+
+	// Cancel from inside the warm stage, early in the fast-forward.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cancelAt = 1_000
+	p := &countingPredictor{Predictor: bpu.NewTAGE(bpu.DefaultTAGEConfig()), onCall: func(n int) {
+		if n == cancelAt {
+			cancel()
+		}
+	}}
+	_, err := Run(prog, image, plan, Options{Budget: budget, Context: ctx,
+		NewPredictor: func() bpu.Predictor { return p }})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want an error wrapping context.Canceled", err)
+	}
+	if p.calls >= full.calls/10 {
+		t.Fatalf("cancelled run made %d warming calls, a full run %d: the fast-forward ignored the cancel",
+			p.calls, full.calls)
+	}
+	t.Logf("cancelled after %d of %d warming calls", p.calls, full.calls)
+}
+
+func TestWarmStagePanicIsReraised(t *testing.T) {
+	prog, image := buildWorkload(t, "gcc")
+	boom := errors.New("predictor failure")
+	p := &countingPredictor{Predictor: bpu.NewTAGE(bpu.DefaultTAGEConfig()), onCall: func(n int) {
+		if n == 1_000 {
+			panic(boom)
+		}
+	}}
+	defer func() {
+		if r := recover(); r != boom {
+			t.Fatalf("Run's goroutine recovered %v, want the warm stage's panic %v", r, boom)
+		}
+	}()
+	_, _ = Run(prog, image, DefaultPlan(), Options{Budget: 300_000,
+		NewPredictor: func() bpu.Predictor { return p }})
+	t.Fatalf("Run returned normally after a warm-stage panic")
+}
+
 func TestSampledWithScheme(t *testing.T) {
 	// Predication schemes run per-window with cold state; the run must
 	// still be architecturally transparent at every boundary.
@@ -190,4 +260,43 @@ func TestSampledWithScheme(t *testing.T) {
 		}
 		t.Fatalf("%d boundary failures under ACB scheme", est.BoundaryFailures)
 	}
+}
+
+// BenchmarkRun times sampled runs of the benchmark's sampled-long mix
+// (bench/sampled.go) at its 20M-instruction budget, with boundary
+// verification and the windows on the default serial pool. One iteration
+// is eight runs; ff-s/op is the part spent in the fast-forward. Run it
+// alone, at one and two CPUs:
+//
+//	go test ./internal/sample/ -run '^$' -bench Run -benchtime 1x -count 3 -cpu 1,2
+func BenchmarkRun(b *testing.B) {
+	const budget = 20_000_000
+	type input struct {
+		prog  []isa.Instruction
+		image *isa.Memory
+	}
+	var inputs []input
+	for _, name := range []string{"mcf", "gcc", "leela", "soplex", "h264ref", "lammps", "xz", "omnetpp"} {
+		prog, image := buildWorkload(b, name)
+		inputs = append(inputs, input{prog, image})
+	}
+	var start time.Time
+	var ff time.Duration
+	opts := Options{Budget: budget, Verify: true, Pool: func(n int, run func(i int)) error {
+		ff += time.Since(start)
+		for i := 0; i < n; i++ {
+			run(i)
+		}
+		return nil
+	}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range inputs {
+			start = time.Now()
+			if _, err := Run(in.prog, in.image, PlanForBudget(budget), opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(ff.Seconds()/float64(b.N), "ff-s/op")
 }
