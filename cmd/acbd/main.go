@@ -19,7 +19,8 @@
 //	    -peers w1=http://h1:8315,w2=http://h2:8315 -journal /var/lib/acbd/cb.journal
 //
 // Client mode submits one experiment to a running daemon or
-// coordinator and (with -wait) polls it to completion:
+// coordinator and (with -wait) long-polls it to completion — both roles
+// serve the same job API, GET /v1/jobs/{id}?wait= included:
 //
 //	acbd submit -addr http://localhost:8315 -experiment fig6 -workloads lammps,gobmk -wait -format ascii
 //
@@ -476,9 +477,8 @@ func submit(args []string) error {
 		budget    = fs.Int64("budget", 0, "retired-instruction budget per simulation (0 = server default)")
 		cfgName   = fs.String("config", "", "core configuration (default skylake)")
 		timeout   = fs.Duration("timeout", 0, "job deadline, sent as timeout_ms (0 = server default; capped by the server)")
-		wait      = fs.Bool("wait", false, "poll the job to completion and print the result table")
+		wait      = fs.Bool("wait", false, "long-poll the job to completion and print the result table")
 		format    = fs.String("format", "json", "result rendering with -wait: json | csv | ascii")
-		interval  = fs.Duration("poll-interval", 250*time.Millisecond, "poll period with -wait")
 		retries   = fs.Int("submit-retries", 5, "total submission attempts when the server answers 429/503")
 	)
 	fs.Parse(args)
@@ -514,15 +514,8 @@ func submit(args []string) error {
 		return json.NewEncoder(os.Stdout).Encode(job)
 	}
 
-	for job.State == service.JobQueued || job.State == service.JobRunning {
-		time.Sleep(*interval)
-		resp, err := http.Get(base + "/v1/jobs/" + job.ID)
-		if err != nil {
-			return err
-		}
-		if err := decode(resp, &job); err != nil {
-			return err
-		}
+	if job, err = waitJob(http.DefaultClient, base, job); err != nil {
+		return err
 	}
 	if job.State != service.JobDone {
 		return fmt.Errorf("submit: job %s %s: %s", job.ID, job.State, job.Error)
@@ -551,6 +544,22 @@ func submit(args []string) error {
 		return fmt.Errorf("submit: unknown format %q", *format)
 	}
 	return nil
+}
+
+// waitJob long-polls job's status until it is terminal: each
+// GET /v1/jobs/{id}?wait= returns as soon as the job is, or after
+// service.MaxWait with its live state.
+func waitJob(client *http.Client, base string, job service.JobStatus) (service.JobStatus, error) {
+	for job.State == service.JobQueued || job.State == service.JobRunning {
+		resp, err := client.Get(base + "/v1/jobs/" + job.ID + "?wait=" + service.MaxWait.String())
+		if err != nil {
+			return job, err
+		}
+		if err := decode(resp, &job); err != nil {
+			return job, err
+		}
+	}
+	return job, nil
 }
 
 // decode reads an API response, turning non-2xx statuses into errors.

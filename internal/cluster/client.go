@@ -366,7 +366,7 @@ func PeerFetcher(self string, members map[string]string, client *Client) service
 	for name := range members {
 		names = append(names, name)
 	}
-	ring := NewRing(0, names...)
+	ring := NewRing(names...)
 	return func(ctx context.Context, key string) ([]byte, error) {
 		var firstErr error
 		for _, name := range ring.Owners(key, 2) {

@@ -420,7 +420,7 @@ func TestClusterPeerFetchAcrossShards(t *testing.T) {
 	nodes := startWorkers(t, []string{"w1", "w2"}, service.SchedulerConfig{Workers: 1}, nil)
 	_, _ = startCoordinator(t, nodes, Config{})
 
-	fullRing := NewRing(0, "w1", "w2")
+	fullRing := NewRing("w1", "w2")
 	req := reqsOwnedBy(t, fullRing, "w1", 1)[0]
 	key := mustKey(t, req)
 

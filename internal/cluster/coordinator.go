@@ -165,13 +165,10 @@ type cjob struct {
 	done     chan struct{}
 }
 
-// JobStatus is a cluster job snapshot: the single-node status shape
-// (so `acbd submit -wait` and every existing client work unchanged
-// against a coordinator) plus the worker the job is (or was) placed on.
-type JobStatus struct {
-	service.JobStatus
-	Worker string `json:"worker,omitempty"`
-}
+// JobStatus is a cluster job snapshot: the single-node status type, with
+// Worker set to the member the job is (or was) placed on. The alias
+// remains because the benchmark (bench/fleet.go) names cluster.JobStatus.
+type JobStatus = service.JobStatus
 
 // Coordinator owns cluster state: fleet liveness and every cluster job's
 // placement. Work moves by pull: each live worker gets a set of lanes —
@@ -243,7 +240,7 @@ func New(cfg Config, store *service.Store) (*Coordinator, error) {
 		c.members[m.Name] = &member{name: m.Name, url: m.URL}
 		names = append(names, m.Name)
 	}
-	c.ring = NewRing(0, names...)
+	c.ring = NewRing(names...)
 	// The coordinator's store fills from whichever worker has a key, so
 	// GET /v1/results/{key} works for any completed job, wherever it ran.
 	store.SetPeers(c.fetchEnvelope, cfg.RPCTimeout)
@@ -428,6 +425,21 @@ func (c *Coordinator) aliveLocked() int {
 	return n
 }
 
+// Workers is the fleet's job concurrency: the sum, over live workers,
+// of the concurrency each last reported in its listing, validated as
+// for its lanes (lanesFor). The GET /v1/jobs listing reports it.
+func (c *Coordinator) Workers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, m := range c.members {
+		if m.alive {
+			n += m.want - 1 // want = lanesFor(n) = n+1
+		}
+	}
+	return n
+}
+
 // MemberStatus is one fleet entry's probed state, for GET /v1/cluster.
 type MemberStatus struct {
 	Name  string `json:"name"`
@@ -597,19 +609,17 @@ func (c *Coordinator) Cancel(id string) (JobStatus, error) {
 // statusLocked snapshots a job.
 func (c *Coordinator) statusLocked(job *cjob) JobStatus {
 	st := JobStatus{
-		JobStatus: service.JobStatus{
-			ID:         job.id,
-			State:      job.state,
-			Experiment: job.req.Experiment,
-			Request:    job.req,
-			CacheHit:   job.cacheHit,
-			Error:      job.err,
-			ErrorKind:  job.errKind,
-			Attempts:   job.assigns,
-			Created:    job.created,
-			CPI:        job.cpi,
-		},
-		Worker: job.worker,
+		ID:         job.id,
+		State:      job.state,
+		Experiment: job.req.Experiment,
+		Request:    job.req,
+		CacheHit:   job.cacheHit,
+		Error:      job.err,
+		ErrorKind:  job.errKind,
+		Attempts:   job.assigns,
+		Created:    job.created,
+		CPI:        job.cpi,
+		Worker:     job.worker,
 	}
 	if job.state == service.JobDone {
 		st.ResultKey = job.key

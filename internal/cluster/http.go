@@ -14,16 +14,17 @@ import (
 	"acb/internal/service"
 )
 
-// Server is the coordinator's HTTP front end. It speaks a superset of
-// the single-node API — same job and result endpoints, same status
-// shapes — so every existing client (acbd submit, curl scripts, the CI
-// smoke jobs) points at a coordinator unchanged, plus the cluster-only
-// endpoints:
+// Server is the coordinator's HTTP front end: the job API every acbd
+// role serves (service.NewJobMux) over the Coordinator — so every
+// client of a single node (acbd submit, curl scripts, the CI smoke
+// jobs) points at a coordinator unchanged — plus the coordinator-only
+// routes:
 //
-//	POST /v1/jobs:batch      submit many requests in one call
-//	GET  /v1/results:stream  NDJSON job statuses as they finish
-//	GET  /v1/cluster         fleet membership and liveness
-//	GET  /v1/metrics         every node's series merged, node-labeled
+//	POST /v1/jobs:batch       submit many requests in one call
+//	GET  /v1/results:stream   NDJSON job statuses as they finish
+//	GET  /v1/cluster          fleet membership and liveness
+//	GET  /v1/journal:stream   the journal, tailed by a standby
+//	GET  /v1/metrics          every node's series merged, node-labeled
 type Server struct {
 	coord *Coordinator
 }
@@ -33,86 +34,13 @@ func NewServer(coord *Coordinator) *Server { return &Server{coord: coord} }
 
 // Handler builds the route table.
 func (srv *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", srv.handleHealthz)
-	mux.HandleFunc("GET /v1/readyz", srv.handleReadyz)
-	mux.HandleFunc("POST /v1/jobs", srv.handleSubmit)
+	mux := service.NewJobMux(srv.coord)
 	mux.HandleFunc("POST /v1/jobs:batch", srv.handleSubmitBatch)
-	mux.HandleFunc("GET /v1/jobs", srv.handleListJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", srv.handleGetJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", srv.handleCancelJob)
-	mux.HandleFunc("GET /v1/results/{key}", srv.handleGetResult)
 	mux.HandleFunc("GET /v1/results:stream", srv.handleStream)
-	mux.HandleFunc("GET /v1/store/{key}", srv.handleGetEnvelope)
 	mux.HandleFunc("GET /v1/cluster", srv.handleCluster)
 	mux.HandleFunc("GET /v1/journal:stream", srv.handleJournalStream)
 	mux.HandleFunc("GET /v1/metrics", srv.handleMetrics)
 	return mux
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, apiError{Error: err.Error()})
-}
-
-func (srv *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (srv *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if ok, reason := srv.coord.Ready(); !ok {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready", "reason": reason})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// submitResponse mirrors the single-node reply shape.
-type submitResponse struct {
-	JobStatus
-	Deduped bool `json:"deduped"`
-}
-
-func submitCode(st JobStatus, created bool) int {
-	if created && !st.CacheHit {
-		return http.StatusCreated
-	}
-	return http.StatusOK
-}
-
-func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req service.Request
-	if code, err := service.DecodeJSON(w, r, service.MaxRequestBytes, &req); err != nil {
-		writeError(w, code, fmt.Errorf("cluster: bad request body: %w", err))
-		return
-	}
-	st, created, err := srv.coord.Submit(req)
-	switch {
-	case errors.Is(err, service.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, service.ErrShuttingDown):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, submitCode(st, created), submitResponse{JobStatus: st, Deduped: !created})
 }
 
 // batchRequest / batchResponse are the bulk submission shapes: one
@@ -144,15 +72,15 @@ const (
 func (srv *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if code, err := service.DecodeJSON(w, r, maxBatchBytes, &req); err != nil {
-		writeError(w, code, fmt.Errorf("cluster: bad batch body: %w", err))
+		service.WriteError(w, code, fmt.Errorf("cluster: bad batch body: %w", err))
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: empty batch"))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: empty batch"))
 		return
 	}
 	if len(req.Jobs) > maxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: batch of %d exceeds %d", len(req.Jobs), maxBatch))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: batch of %d exceeds %d", len(req.Jobs), maxBatch))
 		return
 	}
 	resp := batchResponse{Jobs: make([]batchItem, 0, len(req.Jobs))}
@@ -160,7 +88,7 @@ func (srv *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		st, created, err := srv.coord.Submit(jr)
 		if errors.Is(err, service.ErrShuttingDown) {
 			w.Header().Set("Retry-After", "5")
-			writeError(w, http.StatusServiceUnavailable, err)
+			service.WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		item := batchItem{JobStatus: st, Deduped: err == nil && !created}
@@ -169,74 +97,7 @@ func (srv *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Jobs = append(resp.Jobs, item)
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (srv *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": srv.coord.Jobs()})
-}
-
-func (srv *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	st, err := srv.coord.Job(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (srv *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	st, err := srv.coord.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleGetResult proxies any completed result through the
-// coordinator's store: local tiers first, then peer-fetch from the
-// worker holding it. Byte-identical to fetching from the worker
-// directly — the JSON path serves json.Marshal of the same table.
-func (srv *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	tab, ok := srv.coord.Store().Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: no result for key %q", key))
-		return
-	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		b, err := json.Marshal(tab)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		fmt.Fprint(w, tab.CSV())
-	case "ascii":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, tab.String())
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("cluster: unknown format %q (want json, csv or ascii)", format))
-	}
-}
-
-// handleGetEnvelope serves the coordinator store's local envelope (the
-// coordinator can itself act as a peer once its cache has filled).
-func (srv *Server) handleGetEnvelope(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	b, ok := srv.coord.Store().Envelope(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: no stored envelope for key %q", key))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
+	service.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (srv *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
@@ -247,7 +108,7 @@ func (srv *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
 			alive++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	service.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"node":    srv.coord.cfg.Node,
 		"role":    "primary",
 		"epoch":   srv.coord.Epoch(),
@@ -267,7 +128,7 @@ func (srv *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
 func (srv *Server) handleJournalStream(w http.ResponseWriter, r *http.Request) {
 	j := srv.coord.Journal()
 	if j == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: coordinator runs without a journal"))
+		service.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: coordinator runs without a journal"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -339,7 +200,7 @@ func (srv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("timeout"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad timeout %q", q))
+			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad timeout %q", q))
 			return
 		}
 		timeout = d
@@ -458,7 +319,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	self, err := expo.Parse(b.String())
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("cluster: self metrics: %w", err))
+		service.WriteError(w, http.StatusInternalServerError, fmt.Errorf("cluster: self metrics: %w", err))
 		return
 	}
 	expo.SetLabel(self, "node", c.cfg.Node)

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -93,9 +93,9 @@ func (l *Lease) SetFaults(f service.FaultPoints) {
 }
 
 // Advance claims epoch `to`, which must exceed the current one, and
-// fsyncs it to disk (temp + fsync + rename + dir fsync) before it takes
-// effect — a lease is never held at an epoch the disk doesn't know
-// about, so a crash-restart can't reuse one.
+// fsyncs it to disk (wal.WriteFile: temp + fsync + rename + dir fsync)
+// before it takes effect — a lease is never held at an epoch the disk
+// doesn't know about, so a crash-restart can't reuse one.
 func (l *Lease) Advance(to uint64) error {
 	if l == nil {
 		return nil
@@ -117,26 +117,11 @@ func (l *Lease) Advance(to uint64) error {
 		if err != nil {
 			return err
 		}
-		tmp, err := os.CreateTemp(filepath.Dir(l.path), "."+filepath.Base(l.path)+".tmp-*")
+		err = wal.WriteFile(l.path, func(w io.Writer) error {
+			_, err := w.Write(append(b, '\n'))
+			return err
+		})
 		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if _, err := tmp.Write(append(b, '\n')); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp.Name(), l.path); err != nil {
-			return err
-		}
-		if err := wal.SyncDir(filepath.Dir(l.path)); err != nil {
 			return err
 		}
 	}

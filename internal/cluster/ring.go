@@ -40,17 +40,13 @@ type ringPoint struct {
 	node string
 }
 
-// DefaultVNodes is the virtual-node count per member: enough that a
-// 2–16 node fleet shards within a few percent of evenly.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per member: enough that a 2–16 node
+// fleet shards within a few percent of evenly.
+const vnodes = 64
 
-// NewRing builds a ring over the given node names with vnodes virtual
-// nodes each (0 = DefaultVNodes). Duplicate names collapse; an empty
-// node set yields a ring that owns nothing.
-func NewRing(vnodes int, nodes ...string) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds a ring over the given node names. Duplicate names
+// collapse; an empty node set yields a ring that owns nothing.
+func NewRing(nodes ...string) *Ring {
 	seen := make(map[string]bool, len(nodes))
 	r := &Ring{}
 	for _, n := range nodes {

@@ -16,8 +16,8 @@ func hexKey(i int) string {
 // member set — two independently built rings agree on every key, and
 // node insertion order is irrelevant.
 func TestRingDeterministicOwner(t *testing.T) {
-	a := NewRing(0, "w1", "w2", "w3")
-	b := NewRing(0, "w3", "w1", "w2")
+	a := NewRing("w1", "w2", "w3")
+	b := NewRing("w3", "w1", "w2")
 	for i := 0; i < 256; i++ {
 		k := hexKey(i)
 		oa, ok := a.Owner(k)
@@ -34,7 +34,7 @@ func TestRingDeterministicOwner(t *testing.T) {
 // TestRingBalance: with 64 vnodes each, three shards split 3000 keys
 // within a loose band — no shard starves or hogs.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0, "w1", "w2", "w3")
+	r := NewRing("w1", "w2", "w3")
 	counts := make(map[string]int)
 	const keys = 3000
 	for i := 0; i < keys; i++ {
@@ -56,8 +56,8 @@ func TestRingBalance(t *testing.T) {
 // every key owned by a surviving node keeps its owner. This is the
 // property the peer result cache depends on.
 func TestRingStability(t *testing.T) {
-	full := NewRing(0, "w1", "w2", "w3")
-	reduced := NewRing(0, "w1", "w3")
+	full := NewRing("w1", "w2", "w3")
+	reduced := NewRing("w1", "w3")
 	moved := 0
 	for i := 0; i < 1000; i++ {
 		k := hexKey(i)
@@ -83,7 +83,7 @@ func TestRingStability(t *testing.T) {
 // a node, clamps to the member count, and is deterministic — the
 // properties RF=2 result replication and successor peer-fetch rest on.
 func TestRingOwners(t *testing.T) {
-	r := NewRing(0, "w1", "w2", "w3")
+	r := NewRing("w1", "w2", "w3")
 	for i := 0; i < 512; i++ {
 		k := hexKey(i)
 		owner, _ := r.Owner(k)
@@ -128,7 +128,7 @@ func TestRingOwners(t *testing.T) {
 	if got := r.Owners(hexKey(1), 0); got != nil {
 		t.Errorf("Owners(0) = %v, want nil", got)
 	}
-	if got := NewRing(0).Owners(hexKey(1), 2); got != nil {
+	if got := NewRing().Owners(hexKey(1), 2); got != nil {
 		t.Errorf("empty ring Owners = %v, want nil", got)
 	}
 }
@@ -136,16 +136,16 @@ func TestRingOwners(t *testing.T) {
 // TestRingEdges: empty ring owns nothing; single node owns everything;
 // duplicates and empty names collapse; non-hex keys still resolve.
 func TestRingEdges(t *testing.T) {
-	if _, ok := NewRing(0).Owner(hexKey(1)); ok {
+	if _, ok := NewRing().Owner(hexKey(1)); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
-	solo := NewRing(0, "only")
+	solo := NewRing("only")
 	for i := 0; i < 32; i++ {
 		if o, ok := solo.Owner(hexKey(i)); !ok || o != "only" {
 			t.Fatalf("single-node ring returned (%q, %v)", o, ok)
 		}
 	}
-	r := NewRing(0, "w1", "w1", "", "w2")
+	r := NewRing("w1", "w1", "", "w2")
 	if r.Len() != 2 {
 		t.Fatalf("duplicates/empties not collapsed: %v", r.Nodes())
 	}

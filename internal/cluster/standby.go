@@ -353,10 +353,10 @@ func (s *Standby) Handler() http.Handler {
 		}
 		switch {
 		case r.Method == http.MethodGet && r.URL.Path == "/v1/healthz":
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		case r.Method == http.MethodGet && r.URL.Path == "/v1/readyz":
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+			service.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 				"status": "not ready",
 				"reason": "standby: tailing " + s.cfg.Primary,
 			})
@@ -364,7 +364,7 @@ func (s *Standby) Handler() http.Handler {
 			s.mu.Lock()
 			epoch := s.primaryEpoch
 			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, map[string]interface{}{
+			service.WriteJSON(w, http.StatusOK, map[string]interface{}{
 				"node":    s.cfg.Cluster.Node,
 				"role":    "standby",
 				"primary": s.cfg.Primary,
@@ -372,7 +372,7 @@ func (s *Standby) Handler() http.Handler {
 			})
 		default:
 			w.Header().Set("Retry-After", "2")
-			writeError(w, http.StatusServiceUnavailable,
+			service.WriteError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("cluster: standby for %s; not serving the coordinator API", s.cfg.Primary))
 		}
 	})

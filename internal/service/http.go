@@ -15,9 +15,30 @@ import (
 	"acb/internal/ooo"
 )
 
-// Server is the stdlib-only HTTP front end over a Scheduler.
-//
-// API (see docs/SERVICE.md):
+// JobTable is what the job API serves: a Scheduler on a single node or
+// worker, a cluster Coordinator on a coordinator. Both satisfy it with
+// the same contract, so one set of handlers (NewJobMux) serves every
+// role.
+type JobTable interface {
+	// Submit schedules req: (status, created, error), with in-flight
+	// dedup, cache hits born done, ErrQueueFull and ErrShuttingDown.
+	Submit(req Request) (JobStatus, bool, error)
+	Job(id string) (JobStatus, error)
+	// Jobs lists every retained job in submission order.
+	Jobs() []JobStatus
+	Cancel(id string) (JobStatus, error)
+	// Wait blocks until the job is terminal or ctx is done.
+	Wait(ctx context.Context, id string) (JobStatus, error)
+	Ready() (ok bool, reason string)
+	// Store holds the results served by key.
+	Store() *Store
+	// Workers is the job concurrency the listing reports.
+	Workers() int
+}
+
+// NewJobMux returns a route table serving the job API over t — the
+// routes every acbd role shares. Each role's server adds its own routes
+// on top (see docs/SERVICE.md):
 //
 //	POST   /v1/jobs          submit a Request; 201 new, 200 dedup/cache hit, 429 queue full, 413 body too large
 //	GET    /v1/jobs          list jobs in submission order, plus the job concurrency ("workers")
@@ -25,9 +46,27 @@ import (
 //	DELETE /v1/jobs/{id}     cancel a queued or running job
 //	GET    /v1/results/{key} stored table (?format=json|csv|ascii, default json)
 //	GET    /v1/store/{key}   raw stored-result envelope from the local tiers (peer-fetch wire format)
-//	GET    /v1/metrics       Prometheus text metrics
 //	GET    /v1/healthz       liveness
-//	GET    /v1/readyz        readiness (503 + Retry-After during journal replay and drain)
+//	GET    /v1/readyz        readiness (503 + Retry-After while t is not Ready)
+func NewJobMux(t JobTable) *http.ServeMux {
+	api := jobAPI{t}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", api.handleHealthz)
+	mux.HandleFunc("GET /v1/readyz", api.handleReadyz)
+	mux.HandleFunc("POST /v1/jobs", api.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs", api.handleListJobs)
+	mux.HandleFunc("GET /v1/jobs/{id}", api.handleGetJob)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", api.handleCancelJob)
+	mux.HandleFunc("GET /v1/results/{key}", api.handleGetResult)
+	mux.HandleFunc("GET /v1/store/{key}", api.handleGetEnvelope)
+	return mux
+}
+
+// Server is a single node's HTTP front end: the job API over its
+// Scheduler plus the node-only routes:
+//
+//	PUT /v1/store/{key}   accept a replicated stored-result envelope
+//	GET /v1/metrics       Prometheus text metrics
 type Server struct {
 	sched       *Scheduler
 	node        string
@@ -45,9 +84,6 @@ func (srv *Server) AddReadyCheck(check func() (ok bool, reason string)) {
 	srv.readyChecks = append(srv.readyChecks, check)
 }
 
-// Scheduler returns the underlying scheduler.
-func (srv *Server) Scheduler() *Scheduler { return srv.sched }
-
 // SetNode sets this instance's node identity. When set, every series on
 // /v1/metrics carries a node label, so two instances' expositions are
 // never indistinguishable — the precondition for cluster-wide metric
@@ -55,23 +91,31 @@ func (srv *Server) Scheduler() *Scheduler { return srv.sched }
 // one Prometheus.
 func (srv *Server) SetNode(name string) { srv.node = name }
 
-// Node returns the instance identity set by SetNode ("" when unset).
-func (srv *Server) Node() string { return srv.node }
-
 // Handler builds the route table.
 func (srv *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", srv.handleHealthz)
-	mux.HandleFunc("GET /v1/readyz", srv.handleReadyz)
-	mux.HandleFunc("POST /v1/jobs", srv.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", srv.handleListJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", srv.handleGetJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", srv.handleCancelJob)
-	mux.HandleFunc("GET /v1/results/{key}", srv.handleGetResult)
-	mux.HandleFunc("GET /v1/store/{key}", srv.handleGetEnvelope)
+	mux := NewJobMux(nodeTable{srv.sched, srv})
 	mux.HandleFunc("PUT /v1/store/{key}", srv.handlePutEnvelope)
 	mux.HandleFunc("GET /v1/metrics", srv.handleMetrics)
 	return mux
+}
+
+// nodeTable is the scheduler as a node's job API serves it: it is ready
+// only while the scheduler is and every registered check agrees (the
+// checks are read per request, so one added after Handler still counts).
+type nodeTable struct {
+	*Scheduler
+	srv *Server
+}
+
+func (t nodeTable) Ready() (bool, string) {
+	ok, reason := t.Scheduler.Ready()
+	for _, check := range t.srv.readyChecks {
+		if !ok {
+			break
+		}
+		ok, reason = check()
+	}
+	return ok, reason
 }
 
 // apiError is the JSON error envelope.
@@ -79,7 +123,8 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON writes v as the indented JSON response body with status code.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -87,40 +132,10 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, apiError{Error: err.Error()})
-}
-
-func (srv *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is the load-balancer signal, distinct from liveness: the
-// process is up (healthz 200) but must not receive traffic while the
-// journal is replaying, a drain is in progress, or any registered
-// readiness gate (the cluster epoch fence) objects.
-func (srv *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	ok, reason := srv.sched.Ready()
-	if ok {
-		for _, check := range srv.readyChecks {
-			if ok, reason = check(); !ok {
-				break
-			}
-		}
-	}
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready", "reason": reason})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// submitResponse is the POST /v1/jobs reply: the job snapshot plus
-// whether this submission created the job or coalesced onto prior work.
-type submitResponse struct {
-	JobStatus
-	Deduped bool `json:"deduped"`
+// WriteError writes err as the API's JSON error envelope,
+// {"error": "..."}, with status code.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, apiError{Error: err.Error()})
 }
 
 // MaxRequestBytes bounds a POST /v1/jobs body (one Request) on workers,
@@ -147,84 +162,116 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v interface
 	return http.StatusBadRequest, err
 }
 
-func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	if code, err := DecodeJSON(w, r, MaxRequestBytes, &req); err != nil {
-		writeError(w, code, fmt.Errorf("service: bad request body: %w", err))
+// jobAPI holds the job API's handlers over one JobTable.
+type jobAPI struct {
+	t JobTable
+}
+
+func (api jobAPI) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
+// handleReadyz is the load-balancer signal, distinct from liveness: the
+// process is up (healthz 200) but must not receive traffic while the
+// table is not ready (journal replay, drain, an objecting readiness
+// gate, a coordinator with no live worker).
+func (api jobAPI) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+	if ok, reason := api.t.Ready(); !ok {
+		w.Header().Set("Retry-After", "1")
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready", "reason": reason})
 		return
 	}
-	st, created, err := srv.sched.Submit(req)
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+}
+
+// submitResponse is the POST /v1/jobs reply: the job snapshot plus
+// whether this submission created the job or coalesced onto prior work.
+type submitResponse struct {
+	JobStatus
+	Deduped bool `json:"deduped"`
+}
+
+func (api jobAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req Request
+	if code, err := DecodeJSON(w, r, MaxRequestBytes, &req); err != nil {
+		WriteError(w, code, fmt.Errorf("service: bad request body: %w", err))
+		return
+	}
+	st, created, err := api.t.Submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrShuttingDown):
 		// Draining: this instance never comes back, but a replacement
 		// (or journal-recovered restart) may — tell clients when to retry.
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	code := http.StatusOK // dedup or cache hit: nothing new scheduled
 	if created && !st.CacheHit {
 		code = http.StatusCreated
 	}
-	writeJSON(w, code, submitResponse{JobStatus: st, Deduped: !created})
+	WriteJSON(w, code, submitResponse{JobStatus: st, Deduped: !created})
 }
 
 // handleListJobs lists the job table. "workers" reports the job
-// concurrency: a cluster coordinator sizes its dispatch lanes for this
+// concurrency: a cluster coordinator sizes its dispatch lanes for a
 // node from it.
-func (srv *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": srv.sched.Jobs(), "workers": srv.sched.Workers()})
+func (api jobAPI) handleListJobs(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]interface{}{"jobs": api.t.Jobs(), "workers": api.t.Workers()})
 }
 
 // handleGetJob serves one job's status. With ?wait=D (a Go duration,
 // capped at MaxWait) it first blocks until the job is terminal or D has
 // passed, then answers with whatever state the job is in: a client
 // learns of a completion at once without polling on a fixed grid.
-func (srv *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
+func (api jobAPI) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if q := r.URL.Query().Get("wait"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad wait %q (want a duration like 250ms)", q))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("service: bad wait %q (want a duration like 250ms)", q))
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), min(d, MaxWait))
-		_, err = srv.sched.Wait(ctx, id)
+		_, err = api.t.Wait(ctx, id)
 		cancel()
 		if errors.Is(err, ErrUnknownJob) {
-			writeError(w, http.StatusNotFound, err)
+			WriteError(w, http.StatusNotFound, err)
 			return
 		}
 	}
-	st, err := srv.sched.Job(id)
+	st, err := api.t.Job(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
-func (srv *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	st, err := srv.sched.Cancel(r.PathValue("id"))
+func (api jobAPI) handleCancelJob(w http.ResponseWriter, r *http.Request) {
+	st, err := api.t.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
-func (srv *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
+// handleGetResult serves a stored table through the table's store: the
+// local tiers, then — on a worker or a coordinator — a peer fetch from
+// whichever node holds it.
+func (api jobAPI) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	tab, ok := srv.sched.Store().Get(key)
+	tab, ok := api.t.Store().Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: no result for key %q", key))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("service: no result for key %q", key))
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
@@ -233,7 +280,7 @@ func (srv *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		// identical to what any other client of Table.MarshalJSON sees.
 		b, err := json.Marshal(tab)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -245,7 +292,7 @@ func (srv *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, tab.String())
 	default:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("service: unknown format %q (want json, csv or ascii)", format))
 	}
 }
@@ -257,11 +304,11 @@ func (srv *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 // the owner's envelope verbatim, a peer-filled replica file is
 // byte-identical to the original. Never consults this store's own peer
 // tier, so two shards cannot chase each other for a key neither owns.
-func (srv *Server) handleGetEnvelope(w http.ResponseWriter, r *http.Request) {
+func (api jobAPI) handleGetEnvelope(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	b, ok := srv.sched.Store().Envelope(key)
+	b, ok := api.t.Store().Envelope(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: no stored envelope for key %q", key))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("service: no stored envelope for key %q", key))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -277,14 +324,14 @@ func (srv *Server) handlePutEnvelope(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	b, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading envelope: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("service: reading envelope: %w", err))
 		return
 	}
 	if err := srv.sched.Store().PutEnvelope(key, b); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "stored", "key": key})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "stored", "key": key})
 }
 
 // handleMetrics emits Prometheus text exposition (version 0.0.4).

@@ -207,8 +207,3 @@ func (j *Journal) Path() string {
 	}
 	return j.log.Path()
 }
-
-// syncDir fsyncs a directory so a just-renamed file inside it survives
-// power loss (used by the result store's disk tier; the journal's own
-// compaction syncs inside internal/wal).
-func syncDir(dir string) error { return wal.SyncDir(dir) }

@@ -111,6 +111,9 @@ type JobStatus struct {
 	// CPI is the job's per-scheme CPI-stack summary (bucket order:
 	// ooo.CPIBucketNames), populated when the job actually simulated.
 	CPI map[string]experiments.CPITotals `json:"cpi,omitempty"`
+	// Worker is the fleet member a coordinator placed the job on (or
+	// last placed it on); a single node never sets it.
+	Worker string `json:"worker,omitempty"`
 }
 
 // SchedulerConfig configures a Scheduler.
@@ -382,14 +385,23 @@ func (s *Scheduler) Submit(req Request) (JobStatus, bool, error) {
 		return JobStatus{}, false, err
 	}
 
+	// The store lookup runs with s.mu released: on a worker a local miss
+	// is a peer fetch, and status queries, the coordinator's probe and
+	// readiness must not wait behind another node. So the in-flight check
+	// comes before it (a duplicate never touches the store) and again
+	// after it (a twin may have been submitted meanwhile).
+	s.mu.Lock()
+	st, answered, err := s.coalesceLocked(key)
+	s.mu.Unlock()
+	if answered {
+		return st, false, err
+	}
+	_, cached := s.store.Get(key)
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return JobStatus{}, false, ErrShuttingDown
-	}
-	if prior := s.inflight[key]; prior != nil {
-		s.counters.Add("deduped", 1)
-		return s.statusLocked(prior), false, nil
+	if st, answered, err := s.coalesceLocked(key); answered {
+		return st, false, err
 	}
 
 	job := &Job{
@@ -400,7 +412,7 @@ func (s *Scheduler) Submit(req Request) (JobStatus, bool, error) {
 		done:    make(chan struct{}),
 	}
 
-	if _, ok := s.store.Get(key); ok {
+	if cached {
 		// Served entirely from the store: record a terminal job so the
 		// client can poll/fetch it like any other.
 		s.nextID++
@@ -444,6 +456,20 @@ func (s *Scheduler) Submit(req Request) (JobStatus, bool, error) {
 	}
 	s.cfg.Logf("acbd: %s queued: %s key=%.12s", job.ID, req.Experiment, key)
 	return s.statusLocked(job), true, nil
+}
+
+// coalesceLocked answers a submission of key without a new job where
+// it can: ErrShuttingDown once draining, or the in-flight job with the
+// same key (single-flight). answered is false when a new job is needed.
+func (s *Scheduler) coalesceLocked(key string) (st JobStatus, answered bool, err error) {
+	if s.closed {
+		return JobStatus{}, true, ErrShuttingDown
+	}
+	if prior := s.inflight[key]; prior != nil {
+		s.counters.Add("deduped", 1)
+		return s.statusLocked(prior), true, nil
+	}
+	return JobStatus{}, false, nil
 }
 
 // Job returns the snapshot of the identified job.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -529,6 +530,67 @@ func TestJobStatusJSONShape(t *testing.T) {
 	b, _ = json.Marshal(JobStatus{ID: "j000003", State: JobDone})
 	if bytes.Contains(b, []byte(`"error_kind"`)) {
 		t.Errorf("healthy job serialized an error kind: %s", b)
+	}
+
+	// Only a coordinator places jobs: a status without a worker (every
+	// single node's) omits the field, one with a worker carries it.
+	if bytes.Contains(b, []byte(`"worker"`)) {
+		t.Errorf("unplaced job serialized a worker: %s", b)
+	}
+	b, _ = json.Marshal(JobStatus{ID: "c000001", State: JobRunning, Worker: "w1"})
+	if !bytes.Contains(b, []byte(`"worker":"w1"`)) {
+		t.Errorf("placed job JSON missing its worker: %s", b)
+	}
+}
+
+// TestSubmitPeerFetchReleasesLock: a worker's Submit looks its key up
+// with the scheduler lock released, so while one submission waits on a
+// stalled peer fetch, the calls behind the coordinator's probe and the
+// readiness check (Jobs, Ready) still answer at once.
+func TestSubmitPeerFetchReleasesLock(t *testing.T) {
+	store, err := NewStore(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	store.SetPeers(func(ctx context.Context, key string) ([]byte, error) {
+		once.Do(func() { close(entered) })
+		<-release
+		return nil, nil // authoritative miss
+	}, time.Minute)
+	sched := NewScheduler(SchedulerConfig{}, store)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		sched.Shutdown(ctx)
+	})
+
+	submitted := make(chan bool, 1)
+	go func() {
+		_, created, err := sched.Submit(Request{Experiment: "table1"})
+		submitted <- created && err == nil
+	}()
+	<-entered
+
+	took := make(chan time.Duration, 1)
+	go func() {
+		start := time.Now()
+		sched.Jobs()
+		sched.Ready()
+		took <- time.Since(start)
+	}()
+	select {
+	case d := <-took:
+		if d > 100*time.Millisecond {
+			t.Errorf("Jobs and Ready took %s behind a Submit's peer fetch, want < 100ms", d)
+		}
+	case <-time.After(2 * time.Second):
+		t.Errorf("Jobs and Ready still blocked after 2s behind a Submit's peer fetch")
+	}
+	close(release)
+	if !<-submitted {
+		t.Error("submission after the peer miss did not create a job")
 	}
 }
 

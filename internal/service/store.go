@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"acb/internal/stats"
+	"acb/internal/wal"
 )
 
 // PeerFetchFunc fetches the raw stored-result envelope for key from
@@ -481,26 +483,10 @@ func (s *Store) persist(key string, req Request, tab *stats.Table) (err error) {
 }
 
 // writeFileAtomic writes b to the key's result file atomically and
-// durably: temp file, fsync, rename, directory fsync.
+// durably (wal.WriteFile: temp file, fsync, rename, directory fsync).
 func (s *Store) writeFileAtomic(key string, b []byte) error {
-	tmp, err := os.CreateTemp(s.dir, "."+key+".tmp-*")
-	if err != nil {
+	return wal.WriteFile(s.path(key), func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		return err
-	}
-	return syncDir(s.dir)
+	})
 }

@@ -1,7 +1,9 @@
 // Package wal is the shared write-ahead-log engine behind every acbd
 // journal: an append-only JSONL file with a version-header first line,
 // one fsync per appended record, torn-tail-tolerant replay, and
-// atomic compaction (temp file + fsync + rename + directory fsync).
+// atomic compaction (temp file + fsync + rename + directory fsync). The
+// compaction's durable replace is exported as WriteFile, which the
+// result store and the coordinator's lease write through as well.
 //
 // The package deliberately knows nothing about what a record means.
 // Callers — the single-node job journal in internal/service and the
@@ -16,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -99,40 +102,62 @@ func Replay(path, version string) ([]json.RawMessage, error) {
 // crash inside Create leaves either the old file or the new one, both
 // valid.
 func Create(path, version string, records []interface{}) (*Log, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	err := WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		if err := enc.Encode(header{Version: version}); err != nil {
+			return err
+		}
+		for _, r := range records {
+			if err := enc.Encode(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("wal: compact: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	enc := json.NewEncoder(tmp)
-	if err := enc.Encode(header{Version: version}); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
-			tmp.Close()
-			return nil, err
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return nil, err
-	}
-	if err := SyncDir(filepath.Dir(path)); err != nil {
-		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
 	return &Log{f: f, path: path}, nil
+}
+
+// WriteFile replaces the file at path atomically and durably: write
+// fills a temp file in the same directory, which is fsync'd, closed and
+// renamed over path, and then the directory is fsync'd. A crash leaves
+// either the old file or the new one, and once WriteFile returns nil
+// the new one survives power loss. The temp file never outlives the
+// call. Every durable file in acbd is written this way: compacted logs,
+// stored results and the coordinator's lease.
+func WriteFile(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // SetFaults installs a fault-injection hook fired as "<prefix>.append"
@@ -195,15 +220,4 @@ func (l *Log) Path() string {
 		return ""
 	}
 	return l.path
-}
-
-// SyncDir fsyncs a directory so a just-renamed file inside it survives
-// power loss.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
