@@ -81,7 +81,7 @@ func TestCheckpointDeterminism(t *testing.T) {
 			run := func(from *isa.Checkpoint) (ooo.Result, *isa.Memory, error) {
 				var c *ooo.Core
 				if from != nil {
-					c = ooo.NewFromCheckpoint(cfgFor(), asm.Insts, bpu.NewTAGE(bpu.DefaultTAGEConfig()), e.NewScheme(asm), from)
+					c = ooo.NewFromCheckpoint(cfgFor(), asm.Insts, bpu.NewTAGE(bpu.DefaultTAGEConfig()), e.NewScheme(asm), from, nil)
 				} else {
 					c = ooo.NewWithMemory(cfgFor(), asm.Insts, bpu.NewTAGE(bpu.DefaultTAGEConfig()), e.NewScheme(asm), asm.Mem.Clone())
 				}

@@ -1,7 +1,7 @@
 // Checkpointed starts and windowed measurement: the detailed-core half of
 // SMARTS-style sampled simulation (internal/sample). A window worker
 // restores an architectural checkpoint produced by the functional
-// emulator, optionally replays a cache-warming trace, runs a detailed but
+// emulator, takes a warmed cache hierarchy, runs a detailed but
 // unmeasured warm-up stretch, and then measures a bounded span whose
 // statistics are reported in isolation.
 
@@ -20,64 +20,27 @@ import (
 // memory, PC — starts at ckpt instead of the program's entry. The
 // functional oracle and the committed image are copy-on-write snapshots of
 // the checkpoint's memory, so the caller may reuse ckpt freely (including
-// for concurrent window jobs). Microarchitectural
-// state (pipeline, caches, scheme tables) starts cold; callers warm the
-// predictor by passing one already trained on the fast-forwarded region
-// (bpu.Warm/Cloner) and the caches via WarmHierarchy, then hide the rest
-// of the cold-start transient behind RunWindow's warm-up span.
-func NewFromCheckpoint(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, ckpt *isa.Checkpoint) *Core {
-	c := New(cfg, program, predictor, scheme)
-	c.oracleMem = isa.NewOverlay(ckpt.Mem.CloneCOW())
-	c.oracle = isa.NewArchState(c.oracleMem)
+// for concurrent window jobs). The core takes hier as its data-cache
+// hierarchy (nil = a fresh, cold one): sampled simulation passes a clone
+// of the hierarchy it warmed over the fast-forwarded region
+// (mem.Hierarchy.Clone). The pipeline and scheme tables start cold;
+// callers warm the predictor by passing one already trained on the
+// fast-forwarded region (bpu.Warm/Cloner), then hide the rest of the
+// cold-start transient behind RunWindow's warm-up span.
+func NewFromCheckpoint(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme,
+	ckpt *isa.Checkpoint, hier *mem.Hierarchy) *Core {
+	c := newCore(cfg, program, predictor, scheme, hier, ckpt.Mem.CloneCOW(), ckpt.Mem.CloneCOW())
 	c.oracle.PC = ckpt.PC
 	c.oracle.Regs = ckpt.Regs
-	c.commitMem = ckpt.Mem.CloneCOW()
 	c.fetchPC = ckpt.PC
 	// The initial RAT maps logical register r to physical register r
-	// (New); seeding those physical registers makes the checkpointed
+	// (newCore); seeding those physical registers makes the checkpointed
 	// values both readable by renamed consumers and visible as the
 	// committed state.
 	for r := 0; r < isa.NumRegs; r++ {
 		c.prf[r].val = ckpt.Regs[r]
 	}
 	return c
-}
-
-// MemRef is one architectural memory reference of the fast-forwarded
-// region, used to functionally warm the cache hierarchy before a sampled
-// window runs.
-type MemRef struct {
-	Addr  int64
-	Store bool
-}
-
-// SetHierarchy replaces the core's data-cache hierarchy with h — the
-// continuous-warming path of sampled simulation, where one hierarchy is
-// fed every architectural reference of the fast-forwarded region and each
-// window receives a clone of its state (mem.Hierarchy.Clone). Must be
-// called before the core first runs; swapping the hierarchy mid-run would
-// desynchronize in-flight load latencies from the tag state.
-func (c *Core) SetHierarchy(h *mem.Hierarchy) {
-	if c.cycle != 0 {
-		panic("ooo: SetHierarchy after the core has run")
-	}
-	c.hier = h
-}
-
-// WarmHierarchy replays an architectural access trace into the data-cache
-// hierarchy, installing tag state as if the references had executed — the
-// bounded-trace alternative to SetHierarchy when only a recent address
-// window is available. Hit/miss counters advance during the replay;
-// RunWindow's measured span reports deltas, so warming never leaks into
-// window statistics as long as it happens before the measured span begins.
-func (c *Core) WarmHierarchy(refs []MemRef) {
-	for _, r := range refs {
-		if r.Store {
-			c.hier.StoreCommit(r.Addr)
-		} else {
-			c.hier.LoadLatency(r.Addr)
-		}
-	}
 }
 
 // Retired returns the total architecturally-useful instructions retired so

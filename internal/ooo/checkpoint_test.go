@@ -7,6 +7,7 @@ import (
 	"acb/internal/bpu"
 	"acb/internal/config"
 	"acb/internal/isa"
+	"acb/internal/mem"
 )
 
 // TestNewFromCheckpointResumesToSameState fast-forwards functionally to the
@@ -34,7 +35,7 @@ func TestNewFromCheckpointResumesToSameState(t *testing.T) {
 	}
 	ck := st.Checkpoint(mid)
 
-	resumed := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck)
+	resumed := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, nil)
 	res, err := resumed.Run(1 << 30)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
@@ -63,7 +64,7 @@ func TestRunWindowDeltas(t *testing.T) {
 	st.Run(prog, 3000)
 	ck := st.Checkpoint(3000)
 
-	c := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck)
+	c := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, nil)
 	const warmup, measure = 500, 1000
 	res, err := c.RunWindow(context.Background(), warmup, measure)
 	if err != nil {
@@ -104,26 +105,27 @@ func TestRunWindowHaltDuringWarmup(t *testing.T) {
 	}
 }
 
-// TestWarmHierarchyPrimesCaches: replaying an address trace before a window
-// must turn the window's first touches of those lines into hits.
+// TestWarmHierarchyPrimesCaches: a window core given a hierarchy primed
+// with the addresses it will touch must see fewer L1 misses than a cold
+// one.
 func TestWarmHierarchyPrimesCaches(t *testing.T) {
 	prog, image := buildLoopHammock(200)
 	st := isa.NewArchState(image.Clone())
 	st.Run(prog, 100)
 	ck := st.Checkpoint(100)
+	cfg := config.Skylake()
 
-	cold := NewFromCheckpoint(config.Skylake(), prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck)
+	cold := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, nil)
 	coldRes, err := cold.RunWindow(context.Background(), 0, 800)
 	if err != nil {
 		t.Fatalf("cold window: %v", err)
 	}
 
-	warmCore := NewFromCheckpoint(config.Skylake(), prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck)
-	var refs []MemRef
+	hier := mem.NewHierarchy(cfg.Mem)
 	for a := int64(0x1000); a < 0x1000+256*8; a += 8 {
-		refs = append(refs, MemRef{Addr: a})
+		hier.LoadLatency(a)
 	}
-	warmCore.WarmHierarchy(refs)
+	warmCore := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, hier)
 	warmRes, err := warmCore.RunWindow(context.Background(), 0, 800)
 	if err != nil {
 		t.Fatalf("warm window: %v", err)

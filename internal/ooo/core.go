@@ -336,6 +336,24 @@ func (r *Result) FlushPerKilo() float64 {
 // New builds a core for the program with the given configuration,
 // predictor and optional predication scheme (nil = plain speculation).
 func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme) *Core {
+	return newCore(cfg, program, predictor, scheme, nil, isa.NewMemory(), nil)
+}
+
+// NewWithMemory is New with an initial memory image. The oracle receives a
+// private clone (it runs ahead of retirement); the committed memory keeps
+// the original. Callers must not reuse the image afterwards.
+func NewWithMemory(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, image *isa.Memory) *Core {
+	return newCore(cfg, program, predictor, scheme, nil, image.Clone(), image)
+}
+
+// newCore builds every core: hier is its data-cache hierarchy (nil = a
+// fresh one), oracleMem the functional oracle's memory, and commitMem the
+// committed image (nil = an empty one, made when the core first runs).
+func newCore(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme,
+	hier *mem.Hierarchy, oracleMem, commitMem *isa.Memory) *Core {
+	if hier == nil {
+		hier = mem.NewHierarchy(cfg.Mem)
+	}
 	fqCap := cfg.FetchWidth * cfg.FrontEndLatency
 	if fqCap < 1 {
 		fqCap = 1
@@ -349,7 +367,7 @@ func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, sc
 		cfg:        cfg,
 		prog:       program,
 		pred:       predictor,
-		hier:       mem.NewHierarchy(cfg.Mem),
+		hier:       hier,
 		scheme:     scheme,
 		rob:        newROB(cfg.ROBSize),
 		prf:        make([]prfEntry, cfg.PRFSize),
@@ -383,20 +401,9 @@ func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, sc
 		c.waitRecs[n].next = c.waitFree
 		c.waitFree = int32(n)
 	}
-	base := isa.NewMemory()
-	c.oracleMem = isa.NewOverlay(base)
+	c.oracleMem = isa.NewOverlay(oracleMem)
 	c.oracle = isa.NewArchState(c.oracleMem)
-	return c
-}
-
-// NewWithMemory is New with an initial memory image. The oracle receives a
-// private clone (it runs ahead of retirement); the committed memory keeps
-// the original. Callers must not reuse the image afterwards.
-func NewWithMemory(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, image *isa.Memory) *Core {
-	c := New(cfg, program, predictor, scheme)
-	c.oracleMem = isa.NewOverlay(image.Clone())
-	c.oracle = isa.NewArchState(c.oracleMem)
-	c.commitMem = image
+	c.commitMem = commitMem
 	return c
 }
 
@@ -452,9 +459,10 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 	if c.commitMem == nil {
 		c.commitMem = isa.NewMemory()
 	}
-	// Per-cycle observers see every cycle individually, so event-driven
-	// skipping is enabled only on bare runs (the throughput path).
-	skippable := c.pipe == nil && c.cpi == nil && c.trace == nil && c.dbgRing == nil
+	// Per-cycle observers see every cycle individually, so they turn
+	// event-driven skipping off. The CPI stack does not: it charges a
+	// skipped stretch to the bucket of the cycle before it.
+	skippable := c.pipe == nil && c.trace == nil && c.dbgRing == nil
 	var lastRetired int64
 	var stuck int64
 	var iter int64
@@ -500,7 +508,10 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 // cycle-accurate as long as the per-cycle stat increments a stalled cycle
 // performs — rename allocation-stall slots and gated body-wakeup counts —
 // are replayed once per skipped cycle, which is exactly what the
-// stallSlotsThisCycle / stallCtxScratch records are for.
+// stallSlotsThisCycle / stallCtxScratch records are for. The CPI stack's
+// classification reads only commits, the ROB head and its context flags,
+// and the flush cause, none of which a quiescent cycle changes, so every
+// skipped cycle goes to the bucket the cycle before it was charged.
 func (c *Core) skipToNextEvent() {
 	next, ok := c.nextEventCycle()
 	if !ok || next <= c.cycle+1 {
@@ -512,6 +523,9 @@ func (c *Core) skipToNextEvent() {
 	}
 	for _, sc := range c.stallCtxScratch {
 		sc.bodyStalls += skipped
+	}
+	if c.cpi != nil {
+		c.cpi.charge(c.cpi.last, skipped)
 	}
 	c.cycle = next - 1
 }

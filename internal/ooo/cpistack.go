@@ -48,6 +48,9 @@ type CPIStack struct {
 
 	// Per-cycle scratch, reset by account.
 	commits int
+	// last is the bucket the most recent stepped cycle was charged to; a
+	// quiescent stretch skipped after it belongs there too (charge).
+	last cpiBucket
 
 	// Flush-repair window state (see noteFlush / noteCommit).
 	flushCause flushCause
@@ -68,6 +71,18 @@ const (
 var CPIBucketNames = []string{
 	"base", "frontend", "badspec", "backend", "acb-body", "acb-divergence",
 }
+
+// cpiBucket indexes a bucket in CPIBucketNames order.
+type cpiBucket uint8
+
+const (
+	bucketBase cpiBucket = iota
+	bucketFrontend
+	bucketBadSpec
+	bucketBackend
+	bucketACBBody
+	bucketACBDivergence
+)
 
 // EnableCPIStack turns on per-cycle CPI attribution.
 func (c *Core) EnableCPIStack() {
@@ -110,27 +125,50 @@ func (p *CPIStack) noteFlush(cause flushCause, seq int64) {
 	p.flushSeq = seq
 }
 
-// account classifies the cycle that just completed. Called once per
+// charge adds n cycles to bucket b and remembers it as the last bucket.
+func (p *CPIStack) charge(b cpiBucket, n int64) {
+	p.last = b
+	p.Cycles += n
+	switch b {
+	case bucketBase:
+		p.Base += n
+	case bucketFrontend:
+		p.FrontendStarve += n
+	case bucketBadSpec:
+		p.BadSpecFlush += n
+	case bucketBackend:
+		p.BackendStall += n
+	case bucketACBBody:
+		p.ACBBodyStall += n
+	case bucketACBDivergence:
+		p.ACBDivergence += n
+	}
+}
+
+// cpiAccount classifies the cycle that just completed. Called once per
 // stepCycle, after the retire stage has drained this cycle's commits.
 func (c *Core) cpiAccount() {
 	p := c.cpi
-	p.Cycles++
 	if p.commits > 0 {
 		p.commits = 0
-		p.Base++
+		p.charge(bucketBase, 1)
 		return
 	}
+	p.charge(c.stallBucket(), 1)
+}
+
+// stallBucket classifies a cycle in which nothing committed.
+func (c *Core) stallBucket() cpiBucket {
 	head := c.rob.head()
 	if head == nil {
-		switch p.flushCause {
+		switch c.cpi.flushCause {
 		case flushMispredict:
-			p.BadSpecFlush++
+			return bucketBadSpec
 		case flushDivergence:
-			p.ACBDivergence++
+			return bucketACBDivergence
 		default:
-			p.FrontendStarve++
+			return bucketFrontend
 		}
-		return
 	}
 	// The head exists and did not commit this cycle. Charge ACB's stall
 	// discipline when it is what gates the head; everything else is a
@@ -139,17 +177,15 @@ func (c *Core) cpiAccount() {
 		switch head.role {
 		case RolePredBranch:
 			if !ctx.closed {
-				p.ACBBodyStall++
-				return
+				return bucketACBBody
 			}
 		case RoleBody:
 			if !ctx.branchDone {
-				p.ACBBodyStall++
-				return
+				return bucketACBBody
 			}
 		}
 	}
-	p.BackendStall++
+	return bucketBackend
 }
 
 // String renders the stack as per-bucket cycle counts and shares.

@@ -7,12 +7,14 @@
 // branch predictor with every resolved branch outcome and continuously
 // warms a cache hierarchy with every load/store address (each window
 // receives clones of the warmed predictor and tag state). Each window is
-// then an independent job — a detailed core restored from its checkpoint
+// an independent job — a detailed core restored from its checkpoint
 // (ooo.NewFromCheckpoint), a detailed-but-unmeasured warm-up to hide the
 // remaining cold start, and a measured span — so windows fan out over the
-// experiments worker pool (and through it the acbd cluster). Per-window
-// CPIs aggregate into a point estimate with normal-approximation
-// confidence intervals.
+// experiments worker pool (and through it the acbd cluster). A window
+// runs as soon as its state exists, beside the rest of the fast-forward,
+// and drops that state when it finishes, so a run holds only the windows
+// in flight, however many it has. Per-window CPIs aggregate into a point
+// estimate with normal-approximation confidence intervals.
 //
 // Approximations (see docs/SAMPLING.md): wrong-path history and cache
 // pollution are not modeled during warming, and predication schemes start
@@ -26,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 
 	"acb/internal/bpu"
@@ -149,7 +152,10 @@ type Options struct {
 	// committed memory) against a functional reference advanced to the
 	// same retired count, recording any divergence in Window.BoundaryDiff.
 	Verify bool
-	// Pool runs the window jobs (see PoolFunc). Nil = serial.
+	// Pool runs the window jobs (see PoolFunc). Nil = serial. Run calls
+	// it at once, with one job per planned window; job i waits until
+	// window i's state is ready, and the job of a window the run never
+	// reaches returns with no result when the fast-forward ends.
 	Pool PoolFunc
 	// Context cancels the run cooperatively.
 	Context context.Context
@@ -221,14 +227,32 @@ type Estimate struct {
 	BoundaryFailures int
 }
 
-// window carries the per-window fast-forward products to its job.
+// window is one planned window: its placement, and the fast-forward's
+// products that its job reads once ready is closed.
 type window struct {
 	start   int64
-	ckpt    *isa.Checkpoint
-	pred    bpu.Predictor
-	hier    *mem.Hierarchy
 	warmup  int64
-	measure int64
+	measure int64 // clipped at the run's end for the last window reached
+	// ready is closed when the fields below are final: by the warm stage
+	// at the next window's marker, or, for the last window reached and
+	// every window the run never reaches, when the fast-forward ends.
+	ready chan struct{}
+	ckpt  *isa.Checkpoint
+	// pred and hier are the warmed clones; pred is nil for a window that
+	// is dropped or never reached, which its job skips.
+	pred bpu.Predictor
+	hier *mem.Hierarchy
+}
+
+// planWindows returns the plan's windows below budget, each not yet
+// ready.
+func planWindows(plan Plan, budget int64) []window {
+	var wins []window
+	for start := plan.Offset; start < budget; start += plan.Interval {
+		wins = append(wins, window{start: start, warmup: plan.Warmup, measure: plan.Measure,
+			ready: make(chan struct{})})
+	}
+	return wins
 }
 
 // Run performs a sampled simulation of the program and returns the CPI
@@ -246,45 +270,27 @@ func Run(prog []isa.Instruction, image *isa.Memory, plan Plan, opts Options) (*E
 		return nil, fmt.Errorf("sample: predictor %s does not support cloning (bpu.Cloner)", pred.Name())
 	}
 
-	// Phase 1 — functional fast-forward.
-	wins, total, halted, err := fastForward(prog, image, plan, &opts, pred)
-	if err != nil {
-		return nil, err
-	}
-
-	// Clip windows at the run's end and drop those with nothing to
-	// measure.
-	live := wins[:0]
-	for _, w := range wins {
-		w.warmup = plan.Warmup
-		w.measure = plan.Measure
-		if w.start+w.warmup >= total {
-			continue
-		}
-		if w.start+w.warmup+w.measure > total {
-			w.measure = total - w.start - w.warmup
-		}
-		live = append(live, w)
-	}
-	wins = live
-	if len(wins) == 0 {
-		return nil, fmt.Errorf("sample: no measurable window in %d instructions (interval %d, warmup %d)",
-			total, plan.Interval, plan.Warmup)
-	}
-
-	// Phase 2 — detailed windows, each an independent job. Each job writes
-	// only its own result/error slot, so any pool that runs every index
-	// exactly once is race-free.
+	// The functional fast-forward runs beside the detailed windows: every
+	// planned window is a job from the start, which waits until its state
+	// is ready, runs, and drops that state. Each job writes only its own
+	// result/error slot, so any pool that runs every index exactly once is
+	// race-free; the fast-forward never waits for a job.
+	ff := startFastForward(prog, image, plan, &opts, pred)
+	defer ff.stop()
+	wins := ff.wins
 	results := make([]Window, len(wins))
 	errs := make([]error, len(wins))
 	poolErr := opts.Pool(len(wins), func(i int) {
-		w := wins[i]
+		w := &wins[i]
+		<-w.ready
+		if w.pred == nil {
+			return
+		}
 		var scheme ooo.Scheme
 		if opts.NewScheme != nil {
 			scheme = opts.NewScheme()
 		}
-		c := ooo.NewFromCheckpoint(opts.Config, prog, w.pred, scheme, w.ckpt)
-		c.SetHierarchy(w.hier)
+		c := ooo.NewFromCheckpoint(opts.Config, prog, w.pred, scheme, w.ckpt, w.hier)
 		res, err := c.RunWindow(opts.Context, w.warmup, w.measure)
 		if err != nil {
 			errs[i] = fmt.Errorf("sample: window %d (start %d): %w", i, w.start, err)
@@ -298,17 +304,28 @@ func Run(prog []isa.Instruction, image *isa.Memory, plan Plan, opts Options) (*E
 			out.BoundaryDiff = boundaryDiff(prog, w.ckpt, c, &res)
 		}
 		results[i] = out
+		w.ckpt, w.pred, w.hier = nil, nil, nil
 	})
 	if poolErr != nil {
+		ff.cancel()
+	}
+	kept, total, halted, err := ff.join()
+	if poolErr != nil {
 		return nil, poolErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	return aggregate(results, total, halted), nil
+	if kept == 0 {
+		return nil, fmt.Errorf("sample: no measurable window in %d instructions (interval %d, warmup %d)",
+			total, plan.Interval, plan.Warmup)
+	}
+	return aggregate(results[:kept], total, halted), nil
 }
 
 // Fast-forward stage sizing, measured with BenchmarkRun on a 2-CPU host.
@@ -330,11 +347,11 @@ const (
 )
 
 // batch is one hand-off from the emulate stage to the warm stage: events
-// in program order, then, if mark is set, a window marker at which the
-// warm stage clones its state into the window.
+// in program order, then, if mark is set, the marker of the next window,
+// at which the warm stage clones its state into that window.
 type batch struct {
 	events []isa.Event
-	mark   *window
+	mark   bool
 }
 
 // warmStage is the fast-forward's second stage: one goroutine that owns
@@ -345,12 +362,16 @@ type batch struct {
 type warmStage struct {
 	full, free chan *batch
 	done       chan struct{} // closed when the goroutine exits
-	panicked   any           // the warm goroutine's panic; read after done
+	// Read after done.
+	marks    int // markers applied: windows 0..marks-1 have their clones
+	panicked any // the warm goroutine's panic
 }
 
 // startWarm starts the warm stage, which owns pred (a bpu.Cloner) and hier
-// until join returns.
-func startWarm(pred bpu.Predictor, hier *mem.Hierarchy) *warmStage {
+// until join returns. At marker k it fills wins[k] and makes wins[k-1]
+// ready: the emulate stage has passed wins[k]'s start, so wins[k-1], which
+// ends before it, can be neither clipped nor dropped.
+func startWarm(pred bpu.Predictor, hier *mem.Hierarchy, wins []window) *warmStage {
 	w := &warmStage{
 		full: make(chan *batch, ringBatches),
 		free: make(chan *batch, ringBatches),
@@ -375,11 +396,21 @@ func startWarm(pred bpu.Predictor, hier *mem.Hierarchy) *warmStage {
 					hier.StoreCommit(e.Addr)
 				}
 			}
-			if b.mark != nil {
-				b.mark.pred = pred.(bpu.Cloner).Clone()
-				b.mark.hier = hier.Clone()
+			if b.mark {
+				wins[w.marks].pred = pred.(bpu.Cloner).Clone()
+				wins[w.marks].hier = hier.Clone()
+				if w.marks > 0 {
+					close(wins[w.marks-1].ready)
+					// Let the window's job run now. The two stages ready
+					// each other ahead of it, so on a busy CPU it would
+					// otherwise wait up to a scheduler time slice while
+					// more windows pile up (5-8 of 20 on one CPU in
+					// TestFewWindowsAlive, against 2 with the yield).
+					runtime.Gosched()
+				}
+				w.marks++
 			}
-			b.events, b.mark = b.events[:0], nil
+			b.events, b.mark = b.events[:0], false
 			w.free <- b
 		}
 	}()
@@ -405,8 +436,7 @@ func (w *warmStage) handOff(ctx context.Context, b *batch) (*batch, error) {
 }
 
 // join ends the event stream and waits for the warm stage to exit. A
-// warm-stage panic is re-raised here, on the caller's goroutine, so a
-// recovering caller (experiments.Run) reports it as a job error.
+// warm-stage panic is re-raised on the caller's goroutine.
 func (w *warmStage) join() {
 	close(w.full)
 	<-w.done
@@ -415,61 +445,125 @@ func (w *warmStage) join() {
 	}
 }
 
-// fastForward is phase 1: one functional pass over the run, pipelined in
-// two stages. This goroutine is the emulate stage: it steps arch, writes
-// every conditional-branch outcome and load/store address into batches for
-// the warm stage, and at each window start takes the architectural
-// checkpoint and ends the batch with the window's marker. The warm stage
-// applies the same events in the same order a serial pass would, so every
-// window receives the same predictor and cache state. fastForward joins
-// the warm stage on every return path and returns the windows, the run's
-// functional extent and whether it halted.
-func fastForward(prog []isa.Instruction, image *isa.Memory, plan Plan, opts *Options,
-	pred bpu.Predictor) (wins []*window, pos int64, halted bool, err error) {
-	warm := startWarm(pred, mem.NewHierarchy(opts.Config.Mem))
-	defer warm.join()
+// fastForward is phase 1, the functional fast-forward, running on its own
+// goroutines beside the window jobs: the emulate stage (emulate) and the
+// warm stage (startWarm).
+type fastForward struct {
+	wins   []window
+	cancel context.CancelFunc
+	done   chan struct{} // closed once both stages have exited and every window is ready
+	// Read after done.
+	kept     int   // windows 0..kept-1 have state; the rest never run
+	pos      int64 // the run's functional extent
+	halted   bool
+	err      error
+	panicked any // either stage's panic
+}
+
+// startFastForward starts the fast-forward over the plan's windows. Its
+// goroutines stop on their own at the run's end; stop ends them early.
+func startFastForward(prog []isa.Instruction, image *isa.Memory, plan Plan, opts *Options,
+	pred bpu.Predictor) *fastForward {
+	ctx, cancel := context.WithCancel(opts.Context)
+	f := &fastForward{wins: planWindows(plan, opts.Budget), cancel: cancel, done: make(chan struct{})}
 	arch := isa.NewArchState(image.CloneCOW())
-	ctx := opts.Context
+	warm := startWarm(pred, mem.NewHierarchy(opts.Config.Mem), f.wins)
+	go func() {
+		defer close(f.done)
+		defer f.release(warm)
+		defer func() { f.panicked = recover() }()
+		defer warm.join()
+		f.pos, f.halted, f.err = emulate(ctx, prog, arch, f.wins, opts.Budget, warm)
+	}()
+	return f
+}
+
+// release runs once both stages have exited and makes every window not
+// yet ready ready. The last window the warm stage filled runs only if the
+// fast-forward finished and the window has a measured span before the
+// run's end, where it is clipped; the rest never run.
+func (f *fastForward) release(warm *warmStage) {
+	marks := warm.marks
+	f.kept = marks
+	if marks > 0 {
+		w := &f.wins[marks-1]
+		switch {
+		case f.err != nil || f.panicked != nil || w.start+w.warmup >= f.pos:
+			w.ckpt, w.pred, w.hier = nil, nil, nil
+			f.kept--
+		case w.start+w.warmup+w.measure > f.pos:
+			w.measure = f.pos - w.start - w.warmup
+		}
+	}
+	for i := max(marks-1, 0); i < len(f.wins); i++ {
+		close(f.wins[i].ready)
+	}
+}
+
+// join waits for the fast-forward to end and returns how many windows
+// have state, the run's functional extent and whether it halted. A panic
+// in either stage is re-raised here, on the caller's goroutine, so a
+// recovering caller (experiments.Run) reports it as a job error.
+func (f *fastForward) join() (kept int, pos int64, halted bool, err error) {
+	<-f.done
+	if f.panicked != nil {
+		panic(f.panicked)
+	}
+	return f.kept, f.pos, f.halted, f.err
+}
+
+// stop cancels the fast-forward and waits for its goroutines to exit.
+func (f *fastForward) stop() {
+	f.cancel()
+	<-f.done
+}
+
+// emulate is the fast-forward's first stage: one functional pass over the
+// run. It steps arch, writes every conditional-branch outcome and
+// load/store address into batches for the warm stage, and at each window
+// start takes the architectural checkpoint and ends the batch with the
+// window's marker. The warm stage applies the same events in the same
+// order a serial pass would, so every window receives the same predictor
+// and cache state. emulate returns the run's functional extent and whether
+// it halted.
+func emulate(ctx context.Context, prog []isa.Instruction, arch *isa.ArchState, wins []window, budget int64,
+	warm *warmStage) (pos int64, halted bool, err error) {
 	stopped := func(err error) error {
 		return fmt.Errorf("sample: fast-forward stopped at instruction %d: %w", pos, err)
 	}
 	b, err := warm.handOff(ctx, nil)
 	if err != nil {
-		return nil, 0, false, stopped(err)
+		return 0, false, stopped(err)
 	}
-	for k := 0; ; k++ {
-		start := plan.Offset + int64(k)*plan.Interval
-		if start >= opts.Budget {
-			break
-		}
+	for k := range wins {
+		start := wins[k].start
 		for pos < start && !halted {
 			var steps int64
 			b.events, steps, halted = arch.RunEvents(prog, start-pos, b.events)
 			pos += steps
 			if len(b.events) == cap(b.events) {
 				if b, err = warm.handOff(ctx, b); err != nil {
-					return nil, 0, false, stopped(err)
+					return pos, false, stopped(err)
 				}
 			}
 		}
 		if halted {
 			break
 		}
-		w := &window{start: start, ckpt: arch.Checkpoint(pos)}
-		wins = append(wins, w)
-		b.mark = w
+		wins[k].ckpt = arch.Checkpoint(pos)
+		b.mark = true
 		if b, err = warm.handOff(ctx, b); err != nil {
-			return nil, 0, false, stopped(err)
+			return pos, false, stopped(err)
 		}
 	}
 	// Finish the functional pass to learn the run's true extent; warming
 	// needs none of it.
-	if !halted && pos < opts.Budget {
+	if !halted && pos < budget {
 		var steps int64
-		steps, halted = arch.Run(prog, opts.Budget-pos)
+		steps, halted = arch.Run(prog, budget-pos)
 		pos += steps
 	}
-	return wins, pos, halted, nil
+	return pos, halted, nil
 }
 
 // boundaryDiff replays the functional reference from the window's

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"acb/internal/bpu"
 	"acb/internal/config"
@@ -172,12 +172,13 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // countingPredictor is a pass-through predictor that counts its Predict
-// calls and calls onCall with each new count. Its clones are bare, so it
-// counts only the fast-forward's warming.
+// calls and calls onCall with each new count, and onClone at each Clone.
+// Its clones are bare, so it counts only the fast-forward's warming.
 type countingPredictor struct {
 	bpu.Predictor
-	calls  int
-	onCall func(n int)
+	calls   int
+	onCall  func(n int)
+	onClone func()
 }
 
 func (p *countingPredictor) Predict(pc uint64, taken bool) bpu.Prediction {
@@ -188,7 +189,43 @@ func (p *countingPredictor) Predict(pc uint64, taken bool) bpu.Prediction {
 	return p.Predictor.Predict(pc, taken)
 }
 
-func (p *countingPredictor) Clone() bpu.Predictor { return p.Predictor.(bpu.Cloner).Clone() }
+func (p *countingPredictor) Clone() bpu.Predictor {
+	if p.onClone != nil {
+		p.onClone()
+	}
+	return p.Predictor.(bpu.Cloner).Clone()
+}
+
+// peakWindows records the peak number of windows alive at once in a
+// sampled run: a window's state exists from the predictor clone made at
+// its marker until its job finishes.
+type peakWindows struct {
+	cloned, finished atomic.Int64
+	peak             int64 // written by the warm stage; read once Run returns
+}
+
+// options returns opts with a TAGE predictor whose clones are counted and
+// a serial pool whose finished jobs are counted. The counts restart in
+// NewPredictor, which Run calls once, before it starts any goroutine.
+func (w *peakWindows) options(opts Options) Options {
+	opts.NewPredictor = func() bpu.Predictor {
+		w.cloned.Store(0)
+		w.finished.Store(0)
+		return &countingPredictor{Predictor: bpu.NewTAGE(bpu.DefaultTAGEConfig()), onClone: func() {
+			if n := w.cloned.Add(1) - w.finished.Load(); n > w.peak {
+				w.peak = n
+			}
+		}}
+	}
+	opts.Pool = func(n int, run func(i int)) error {
+		for i := 0; i < n; i++ {
+			run(i)
+			w.finished.Add(1)
+		}
+		return nil
+	}
+	return opts
+}
 
 func TestFastForwardCancellation(t *testing.T) {
 	prog, image := buildWorkload(t, "soplex")
@@ -239,6 +276,64 @@ func TestWarmStagePanicIsReraised(t *testing.T) {
 	t.Fatalf("Run returned normally after a warm-stage panic")
 }
 
+func TestEmulateStagePanicIsReraised(t *testing.T) {
+	// Without its Halt the loop runs off the end of the program, and the
+	// emulator panics with its PC out of range after the first windows
+	// have started.
+	prog, image := buildHaltingLoop(8_000)
+	prog = prog[:len(prog)-1]
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "out of range") {
+			t.Fatalf("Run's goroutine recovered %v, want the emulator's PC-out-of-range panic", r)
+		}
+	}()
+	_, _ = Run(prog, image, Plan{Interval: 10_000, Warmup: 500, Measure: 2_000}, Options{Budget: 100_000})
+	t.Fatalf("Run returned normally after an emulate-stage panic")
+}
+
+func TestWindowsStartDuringFastForward(t *testing.T) {
+	prog, image := buildWorkload(t, "gcc")
+	const budget = 1_000_000
+	var warmCalls atomic.Int64
+	p := &countingPredictor{Predictor: bpu.NewTAGE(bpu.DefaultTAGEConfig()), onCall: func(n int) {
+		warmCalls.Store(int64(n))
+	}}
+	atFirst := int64(-1) // warming calls made when window 0 starts
+	est, err := Run(prog, image, PlanForBudget(budget), Options{Budget: budget,
+		NewPredictor: func() bpu.Predictor { return p },
+		NewScheme: func() ooo.Scheme {
+			if atFirst < 0 {
+				atFirst = warmCalls.Load()
+			}
+			return nil
+		}})
+	if err != nil {
+		t.Fatalf("sampled run: %v", err)
+	}
+	if atFirst*2 >= int64(p.calls) {
+		t.Fatalf("window 0 started after %d of %d warming calls: it waited for the fast-forward", atFirst, p.calls)
+	}
+	t.Logf("window 0 of %d started after %d of %d warming calls", len(est.Windows), atFirst, p.calls)
+}
+
+func TestFewWindowsAlive(t *testing.T) {
+	// Each window runs 1.5k instructions in detail, and its interval
+	// fast-forwards 200k, so a window finishes long before the next one is
+	// ready.
+	prog, image := buildWorkload(t, "gcc")
+	var pw peakWindows
+	est, err := Run(prog, image, Plan{Interval: 200_000, Warmup: 500, Measure: 1_000},
+		pw.options(Options{Budget: 4_000_000}))
+	if err != nil {
+		t.Fatalf("sampled run: %v", err)
+	}
+	if pw.peak > 4 {
+		t.Fatalf("%d of %d windows were alive at once", pw.peak, len(est.Windows))
+	}
+	t.Logf("at most %d of %d windows alive at once", pw.peak, len(est.Windows))
+}
+
 func TestSampledWithScheme(t *testing.T) {
 	// Predication schemes run per-window with cold state; the run must
 	// still be architecturally transparent at every boundary.
@@ -264,9 +359,9 @@ func TestSampledWithScheme(t *testing.T) {
 
 // BenchmarkRun times sampled runs of the benchmark's sampled-long mix
 // (bench/sampled.go) at its 20M-instruction budget, with boundary
-// verification and the windows on the default serial pool. One iteration
-// is eight runs; ff-s/op is the part spent in the fast-forward. Run it
-// alone, at one and two CPUs:
+// verification and the windows on a serial pool. One iteration is eight
+// runs; peak-windows is the most windows alive at once in any of them.
+// Run it alone, at one and two CPUs:
 //
 //	go test ./internal/sample/ -run '^$' -bench Run -benchtime 1x -count 3 -cpu 1,2
 func BenchmarkRun(b *testing.B) {
@@ -280,23 +375,15 @@ func BenchmarkRun(b *testing.B) {
 		prog, image := buildWorkload(b, name)
 		inputs = append(inputs, input{prog, image})
 	}
-	var start time.Time
-	var ff time.Duration
-	opts := Options{Budget: budget, Verify: true, Pool: func(n int, run func(i int)) error {
-		ff += time.Since(start)
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return nil
-	}}
+	var pw peakWindows
+	opts := pw.options(Options{Budget: budget, Verify: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range inputs {
-			start = time.Now()
 			if _, err := Run(in.prog, in.image, PlanForBudget(budget), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.ReportMetric(ff.Seconds()/float64(b.N), "ff-s/op")
+	b.ReportMetric(float64(pw.peak), "peak-windows")
 }
