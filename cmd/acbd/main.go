@@ -221,20 +221,8 @@ func serve(args []string) error {
 			return fmt.Errorf("lease: %w", err)
 		}
 		ccfg.Epoch = lease.Epoch()
-		if *journalPth != "" {
-			journal, replay, err := cluster.OpenJournal(*journalPth)
-			if err != nil {
-				return fmt.Errorf("cluster journal: %w", err)
-			}
-			if inj != nil {
-				journal.SetFaults(inj)
-			}
-			ccfg.Journal = journal
-			ccfg.Replay = replay
-			if len(replay) > 0 {
-				fmt.Fprintf(os.Stderr, "acbd: cluster journal %s: replaying %d job(s)\n",
-					*journalPth, len(replay))
-			}
+		if ccfg.Journal, ccfg.Replay, err = openJournal(*journalPth); err != nil {
+			return err
 		}
 		coord, err := cluster.New(ccfg, store)
 		if err != nil {
@@ -261,17 +249,8 @@ func serve(args []string) error {
 	if inj != nil {
 		cfg.Faults = inj
 	}
-	if *journalPth != "" {
-		journal, replay, err := service.OpenJournal(*journalPth)
-		if err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		cfg.Journal = journal
-		cfg.Replay = replay
-		if len(replay) > 0 {
-			fmt.Fprintf(os.Stderr, "acbd: journal %s: replaying %d interrupted/queued job(s)\n",
-				*journalPth, len(replay))
-		}
+	if cfg.Journal, cfg.Replay, err = openJournal(*journalPth); err != nil {
+		return err
 	}
 
 	switch *role {
@@ -316,6 +295,22 @@ func serve(args []string) error {
 	}
 	return listenAndDrain(*addr, *debug, *drain, handler, sched.Shutdown,
 		fmt.Sprintf("store-dir=%q workers=%d queue=%d", *storeDir, *workers, *queue))
+}
+
+// openJournal opens the job journal at path, which every role writes
+// ("" = no journal), and returns it with the jobs it replays.
+func openJournal(path string) (*service.Journal, []service.ReplayJob, error) {
+	if path == "" {
+		return nil, nil, nil
+	}
+	journal, replay, err := service.OpenJournal(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	if len(replay) > 0 {
+		fmt.Fprintf(os.Stderr, "acbd: journal %s: replaying %d job(s)\n", path, len(replay))
+	}
+	return journal, replay, nil
 }
 
 // faultsOrNil avoids wrapping a nil *Injector in a non-nil interface.

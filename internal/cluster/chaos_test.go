@@ -83,6 +83,15 @@ func TestClusterChaosStorm(t *testing.T) {
 	nodes["w3"].ts.CloseClientConnections()
 	nodes["w3"].ts.Close()
 	t.Log("killed w3 mid-sweep")
+	// table1 jobs run no simulation, so the rest of the sweep can finish
+	// before the probes declare w3 dead: wait for the death first.
+	deathDeadline := time.Now().Add(30 * time.Second)
+	for coord.Counters().Get("worker_dead") < 1 {
+		if time.Now().After(deathDeadline) {
+			t.Fatal("no worker declared dead 30s after the kill")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -110,8 +119,8 @@ func TestClusterChaosStorm(t *testing.T) {
 	if got := c.Get("submitted"); got != jobs {
 		t.Errorf("submitted = %d, want %d", got, jobs)
 	}
-	if sum := c.Get("completed") + c.Get("failed") + c.Get("cancelled") + c.Get("cache_hits"); sum != jobs {
-		t.Errorf("completed+failed+cancelled+cache_hits = %d, want %d (double-counted transitions)", sum, jobs)
+	if sum := c.Get("done") + c.Get("failed") + c.Get("cancelled"); sum != jobs {
+		t.Errorf("done+failed+cancelled = %d, want %d (double-counted transitions)", sum, jobs)
 	}
 
 	// The storm must actually have stormed. At least the killed w3 must

@@ -549,8 +549,8 @@ func TestClusterWorkSteal(t *testing.T) {
 	if byWorker["w2"] <= byWorker["w1"] {
 		t.Errorf("fast worker did not take the straggler's share: completions by worker = %v", byWorker)
 	}
-	if got := coord.Counters().Get("completed"); got != jobs {
-		t.Errorf("completed = %d, want %d", got, jobs)
+	if got := coord.Counters().Get("done"); got != jobs {
+		t.Errorf("done = %d, want %d", got, jobs)
 	}
 	if got := simulatedTotal(nodes); got != jobs {
 		t.Errorf("fleet simulated %d jobs, want each of %d exactly once", got, jobs)

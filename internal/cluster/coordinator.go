@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"acb/internal/experiments"
 	"acb/internal/service"
 	"acb/internal/stats"
 )
@@ -28,8 +27,9 @@ type Config struct {
 	// itself does not change at runtime.
 	Workers []Member
 
-	// QueueDepth bounds non-terminal cluster jobs; submissions beyond it
-	// fail fast with service.ErrQueueFull. Default 4096.
+	// QueueDepth bounds non-terminal cluster jobs (the coordinator runs
+	// none itself); submissions beyond it fail fast with
+	// service.ErrQueueFull. Default 4096.
 	QueueDepth int
 	// RetainJobs bounds terminal job records kept for status queries.
 	// Default 1024.
@@ -51,20 +51,21 @@ type Config struct {
 	// RPCTimeout bounds one job-control RPC (default 10s).
 	RPCTimeout time.Duration
 
-	// MaxAssigns bounds how many times one job may be posted to a worker
-	// (the first post plus re-posts after a worker death, a lost job or an
-	// out-of-band cancel) before the coordinator fails it. Default 6.
+	// MaxAssigns is the coordinator's attempt budget: how many times one
+	// job may be posted to a worker (the first post plus re-posts after a
+	// worker death, a lost job or an out-of-band cancel) before a return to
+	// the queue fails it with error kind transient. Default 6.
 	MaxAssigns int
 
-	// Journal is the cluster write-ahead log (nil = not journaled).
+	// Journal is the job table's write-ahead log (nil = not journaled).
 	// Every placement, completion and membership transition is appended
 	// before the in-memory job table mutates.
-	Journal *Journal
+	Journal *service.Journal
 	// Replay is the job set recovered from the journal at open, restored
 	// into the table before the lanes start: terminal jobs come back
 	// queryable, placed jobs are re-attached by their worker's lanes
 	// rather than re-run, and unplaced jobs re-enter the queue.
-	Replay []ReplayedJob
+	Replay []service.ReplayJob
 	// Epoch is the coordinator's fencing epoch, stamped on every RPC.
 	// Workers reject RPCs below the highest epoch they have seen, which
 	// is what keeps a stale primary harmless after a failover (0 = not
@@ -74,7 +75,8 @@ type Config struct {
 	// acbd_failovers_total).
 	Promoted bool
 
-	// Faults wires the rpc / rpc.<node> partition points (nil = none).
+	// Faults wires the rpc / rpc.<node> partition points and the
+	// journal's journal.append point (nil = none).
 	Faults service.FaultPoints
 	// Logf receives operational logs (default: discard).
 	Logf func(format string, args ...interface{})
@@ -125,7 +127,7 @@ func lanesFor(n int) int {
 }
 
 // member is a fleet entry plus its probed liveness and its lanes. name
-// and url are immutable; the rest is guarded by the coordinator's mutex.
+// and url are immutable; the rest is guarded by the table's lock.
 type member struct {
 	name  string
 	url   string
@@ -141,65 +143,35 @@ type member struct {
 	want  int // lanes the worker's concurrency asks for
 }
 
-// cjob is one cluster job. All fields are guarded by the coordinator's
-// mutex except id/key/req, which are immutable after creation.
-type cjob struct {
-	id  string
-	key string
-	req service.Request
-
-	state    service.JobState
-	worker   string // current placement ("" = unplaced)
-	remoteID string // job ID on that worker
-	assigns  int    // times this job has been posted to a worker
-	held     bool   // a lane is driving it; only that lane changes its placement
-	cancel   bool   // client requested cancellation
-	cacheHit bool
-	err      string
-	errKind  string
-	cpi      map[string]experiments.CPITotals
-
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	done     chan struct{}
-}
-
 // JobStatus is a cluster job snapshot: the single-node status type, with
 // Worker set to the member the job is (or was) placed on. The alias
 // remains because the benchmark (bench/fleet.go) names cluster.JobStatus.
 type JobStatus = service.JobStatus
 
-// Coordinator owns cluster state: fleet liveness and every cluster job's
-// placement. Work moves by pull: each live worker gets a set of lanes —
-// coordinator goroutines that each take the oldest dispatchable job and
-// drive it on that worker from post to durable result. One probe loop
-// keeps liveness and sizes the lanes; client-facing methods only read or
-// flag state under the mutex.
+// Coordinator is a coordinator's role: its job table (embedded, so the
+// coordinator serves the job API) and fleet liveness. Work moves by
+// pull: each live worker gets a set of lanes — coordinator goroutines
+// that each claim the oldest job for that worker and drive it there
+// from post to durable result. One probe loop keeps liveness and sizes
+// the lanes.
 type Coordinator struct {
-	cfg     Config
-	client  *Client
-	store   *service.Store
-	journal *Journal
-	epoch   uint64
+	*service.Table
+	cfg    Config
+	client *Client
+	store  *service.Store
+	epoch  uint64
 	// ring is the static fleet's ring, the one workers peer-fetch by: it
 	// picks replication targets and the results proxy's fetch order.
 	ring *Ring
 
 	counters *stats.Counters
 
-	mu       sync.Mutex
-	cond     *sync.Cond // on mu: signals lanes that the queue or fleet changed
-	fenced   bool       // a higher-epoch coordinator exists; stand down
-	members  map[string]*member
-	jobs     map[string]*cjob
-	byKey    map[string]*cjob // non-terminal jobs by result key (dedup)
-	order    []string
-	terminal int
-
-	nextID int64
-	closed bool
-	probed bool // first probe round done (readyz gate)
+	// Guarded by the table's lock, so a claim, a member's death and its
+	// requeues are atomic.
+	fenced  bool // a higher-epoch coordinator exists; stand down
+	closed  bool
+	probed  bool // first probe round done (readyz gate)
+	members map[string]*member
 
 	ctx     context.Context    // parent of every member's ctx
 	stopAll context.CancelFunc // on shutdown or fencing
@@ -209,7 +181,9 @@ type Coordinator struct {
 
 // New builds a Coordinator over the given result store (the
 // coordinator's own cache tier for the results proxy; it may be
-// memory-only). Call Start to begin probing and dispatching.
+// memory-only). Replayed jobs are restored: terminal ones stay
+// queryable, placed ones are re-attached by their worker's lanes rather
+// than re-run. Call Start to begin probing and dispatching.
 func New(cfg Config, store *service.Store) (*Coordinator, error) {
 	cfg.fillDefaults()
 	if len(cfg.Workers) == 0 {
@@ -219,15 +193,22 @@ func New(cfg Config, store *service.Store) (*Coordinator, error) {
 		cfg:      cfg,
 		client:   NewClient(cfg.RPCTimeout, cfg.Faults),
 		store:    store,
-		journal:  cfg.Journal,
 		epoch:    cfg.Epoch,
 		counters: stats.NewCounters(),
 		members:  make(map[string]*member),
-		jobs:     make(map[string]*cjob),
-		byKey:    make(map[string]*cjob),
 		stopCh:   make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.mu)
+	c.Table = service.NewTable(service.Policy{
+		IDPrefix:    "c",
+		Capacity:    cfg.QueueDepth,
+		Retain:      cfg.RetainJobs,
+		MaxAttempts: cfg.MaxAssigns,
+		// Local tiers only: fresh work must not pay a fleet-wide round of
+		// peer RPCs per submission. A key some worker has cached anyway
+		// dedups there — the worker answers the lane's post with a done.
+		Lookup: func(key string) bool { _, ok := store.GetLocal(key); return ok },
+	}, cfg.Journal, c.counters, cfg.Logf)
+	cfg.Journal.SetFaults(cfg.Faults)
 	c.ctx, c.stopAll = context.WithCancel(context.Background())
 	names := make([]string, 0, len(cfg.Workers))
 	for _, m := range cfg.Workers {
@@ -252,10 +233,13 @@ func New(cfg Config, store *service.Store) (*Coordinator, error) {
 	if cfg.Promoted {
 		c.counters.Add("failovers", 1)
 	}
-	if len(cfg.Replay) > 0 {
-		c.counters.Add("journal_replays", 1)
-		c.restoreReplay(cfg.Replay)
+	replay := append([]service.ReplayJob(nil), cfg.Replay...)
+	for i := range replay {
+		if c.members[replay[i].Worker] == nil { // placed on a worker no longer in the fleet
+			replay[i].Worker, replay[i].RemoteID = "", ""
+		}
 	}
+	c.Restore(replay)
 	return c, nil
 }
 
@@ -264,79 +248,17 @@ func New(cfg Config, store *service.Store) (*Coordinator, error) {
 // touching the fleet — every mutation would bounce with 409 anyway —
 // and report not-ready so clients move to the new primary.
 func (c *Coordinator) onStaleEpoch(higher uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Close() // refuse submissions before the fence is visible
+	c.Lock()
+	defer c.Unlock()
 	if c.fenced {
 		return
 	}
 	c.fenced = true
 	c.stopAll()
-	c.cond.Broadcast()
+	c.Broadcast()
 	c.counters.Add("fenced", 1)
 	c.cfg.Logf("cluster: fenced: epoch %d superseded by %d; standing down", c.epoch, higher)
-}
-
-// restoreReplay rebuilds the job table from journal replay. Terminal
-// jobs are restored closed (status queries across a restart keep
-// working); non-terminal jobs whose result is already in the local
-// store complete on the spot; the rest re-enter the table with their
-// journaled placement, where a lane of that worker re-attaches to the
-// remote job — observing work that kept running through the
-// coordinator outage — instead of blindly re-running it.
-func (c *Coordinator) restoreReplay(replay []ReplayedJob) {
-	now := time.Now()
-	for _, rj := range replay {
-		var n int64
-		if _, err := fmt.Sscanf(rj.ID, "c%d", &n); err == nil && n > c.nextID {
-			c.nextID = n
-		}
-		job := &cjob{
-			id:       rj.ID,
-			key:      rj.Key,
-			req:      rj.Request,
-			worker:   rj.Worker,
-			remoteID: rj.RemoteID,
-			assigns:  rj.Assigns,
-			state:    service.JobQueued,
-			created:  now,
-			done:     make(chan struct{}),
-		}
-		c.jobs[job.id] = job
-		c.order = append(c.order, job.id)
-		c.counters.Add("replayed", 1)
-		switch {
-		case terminalState(rj.State):
-			job.state = rj.State
-			job.err, job.errKind = rj.Err, rj.ErrKind
-			job.finished = now
-			close(job.done)
-			c.terminal++
-		default:
-			c.byKey[job.key] = job
-			if c.members[job.worker] == nil {
-				// Unplaced, or placed on a worker no longer in the fleet.
-				job.worker, job.remoteID = "", ""
-			}
-			if _, cached := c.store.GetLocal(rj.Key); cached {
-				// The result landed before the crash; the journal just
-				// missed the terminal record. Close it out, durably.
-				job.worker, job.remoteID = "", ""
-				c.counters.Add("cache_hits", 1)
-				c.finishLocked(job, service.JobDone, "", "")
-			}
-		}
-	}
-	c.evictLocked()
-}
-
-// jlog counts a failed journal append. The append already happened (or
-// failed) before the state transition; a failing journal degrades
-// durability, not availability, and the metric is the alarm.
-func (c *Coordinator) jlog(err error) {
-	if err != nil {
-		c.counters.Add("journal_errors", 1)
-		c.cfg.Logf("cluster: journal append: %v", err)
-	}
 }
 
 // Epoch returns the coordinator's fencing epoch (0 = unfenced setup).
@@ -344,13 +266,10 @@ func (c *Coordinator) Epoch() uint64 { return c.epoch }
 
 // Fenced reports whether a higher-epoch coordinator has taken over.
 func (c *Coordinator) Fenced() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Lock()
+	defer c.Unlock()
 	return c.fenced
 }
-
-// Journal returns the cluster journal (nil when not journaled).
-func (c *Coordinator) Journal() *Journal { return c.journal }
 
 // Done is closed when the coordinator shuts down (stream handlers hang
 // off it).
@@ -367,16 +286,17 @@ func (c *Coordinator) Start() {
 // separate processes and keep draining on their own; in-flight cluster
 // job records freeze at their last observed state.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
+	c.Close()
+	c.Lock()
 	if c.closed {
-		c.mu.Unlock()
+		c.Unlock()
 		return nil
 	}
 	c.closed = true
 	close(c.stopCh)
 	c.stopAll()
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	c.Broadcast()
+	c.Unlock()
 
 	doneCh := make(chan struct{})
 	go func() { c.wg.Wait(); close(doneCh) }()
@@ -385,7 +305,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		// No terminal records are written here: for the journal, shutdown
 		// is a crash, and replay + lane re-attachment is the recovery path
 		// either way.
-		return c.journal.Close()
+		return c.Journal().Close()
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -394,14 +314,11 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 // Store returns the coordinator's result store.
 func (c *Coordinator) Store() *service.Store { return c.store }
 
-// Counters returns the cluster event counters.
-func (c *Coordinator) Counters() *stats.Counters { return c.counters }
-
 // Ready reports whether the coordinator can accept work: the first
 // probe round has completed and at least one worker is alive.
 func (c *Coordinator) Ready() (bool, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Lock()
+	defer c.Unlock()
 	switch {
 	case c.closed:
 		return false, "shutting down"
@@ -429,8 +346,8 @@ func (c *Coordinator) aliveLocked() int {
 // of the concurrency each last reported in its listing, validated as
 // for its lanes (lanesFor). The GET /v1/jobs listing reports it.
 func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Lock()
+	defer c.Unlock()
 	n := 0
 	for _, m := range c.members {
 		if m.alive {
@@ -450,285 +367,15 @@ type MemberStatus struct {
 
 // Members snapshots the fleet, sorted by name.
 func (c *Coordinator) Members() []MemberStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	assigned := make(map[string]int)
-	for _, job := range c.jobs {
-		if !terminalState(job.state) && job.worker != "" {
-			assigned[job.worker]++
-		}
-	}
+	c.Lock()
+	defer c.Unlock()
+	assigned := c.PlacedLocked()
 	out := make([]MemberStatus, 0, len(c.members))
 	for _, m := range c.members {
 		out = append(out, MemberStatus{Name: m.name, URL: m.url, Alive: m.alive, Jobs: assigned[m.name]})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-func terminalState(st service.JobState) bool {
-	return st == service.JobDone || st == service.JobFailed || st == service.JobCancelled
-}
-
-// Submit schedules req on the cluster. Same contract as the single-node
-// scheduler: (status, created, error), dedup by content-address against
-// in-flight jobs, immediate terminal job on a coordinator-cache hit,
-// service.ErrQueueFull past QueueDepth.
-//
-// The cache probe is local-only (memory + disk): fresh work must not
-// pay a fleet-wide round of peer RPCs per submission. A key some worker
-// has cached anyway dedups remotely — the worker answers the lane's
-// post with an instant done.
-func (c *Coordinator) Submit(req service.Request) (JobStatus, bool, error) {
-	key, err := req.Key() // validates and canonicalizes
-	if err != nil {
-		return JobStatus{}, false, err
-	}
-	_, cached := c.store.GetLocal(key)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || c.fenced {
-		return JobStatus{}, false, service.ErrShuttingDown
-	}
-	if prior := c.byKey[key]; prior != nil {
-		c.counters.Add("deduped", 1)
-		return c.statusLocked(prior), false, nil
-	}
-
-	job := &cjob{
-		id:      fmt.Sprintf("c%06d", c.nextID+1),
-		key:     key,
-		req:     req,
-		created: time.Now(),
-		done:    make(chan struct{}),
-	}
-	if cached {
-		c.nextID++
-		c.counters.Add("submitted", 1)
-		c.counters.Add("cache_hits", 1)
-		c.jlog(c.journal.Submit(job.id, key, req))
-		c.jlog(c.journal.Terminal(job.id, service.JobDone, "", ""))
-		job.state = service.JobDone
-		job.cacheHit = true
-		job.finished = job.created
-		close(job.done)
-		c.jobs[job.id] = job
-		c.order = append(c.order, job.id)
-		c.terminal++
-		c.evictLocked()
-		return c.statusLocked(job), true, nil
-	}
-	if len(c.jobs)-c.terminal >= c.cfg.QueueDepth {
-		return JobStatus{}, false, service.ErrQueueFull
-	}
-	c.nextID++
-	c.counters.Add("submitted", 1)
-	c.jlog(c.journal.Submit(job.id, key, req))
-	job.state = service.JobQueued
-	c.jobs[job.id] = job
-	c.byKey[key] = job
-	c.order = append(c.order, job.id)
-	c.evictLocked()
-	c.cond.Broadcast()
-	c.cfg.Logf("cluster: %s queued: %s key=%.12s", job.id, req.Experiment, key)
-	return c.statusLocked(job), true, nil
-}
-
-// Job returns the identified job's snapshot.
-func (c *Coordinator) Job(id string) (JobStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	job, ok := c.jobs[id]
-	if !ok {
-		return JobStatus{}, service.ErrUnknownJob
-	}
-	return c.statusLocked(job), nil
-}
-
-// Jobs lists every retained job in submission order.
-func (c *Coordinator) Jobs() []JobStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]JobStatus, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.statusLocked(c.jobs[id]))
-	}
-	return out
-}
-
-// JobCounts returns jobs per lifecycle state.
-func (c *Coordinator) JobCounts() map[service.JobState]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[service.JobState]int, len(service.States))
-	for _, st := range service.States {
-		out[st] = 0
-	}
-	for _, job := range c.jobs {
-		out[job.state]++
-	}
-	return out
-}
-
-// Wait blocks until the job is terminal or ctx is done.
-func (c *Coordinator) Wait(ctx context.Context, id string) (JobStatus, error) {
-	c.mu.Lock()
-	job, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return JobStatus{}, service.ErrUnknownJob
-	}
-	select {
-	case <-job.done:
-		return c.Job(id)
-	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
-	}
-}
-
-// Cancel requests cancellation. A job that no lane holds and no worker
-// has cancels on the spot. Otherwise the lane driving it (or the next
-// lane to attach to it) sends the worker's DELETE, retrying through RPC
-// failures, and the job ends cancelled once the worker reports it so —
-// a partition during cancel cannot resurrect the job.
-func (c *Coordinator) Cancel(id string) (JobStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	job, ok := c.jobs[id]
-	if !ok {
-		return JobStatus{}, service.ErrUnknownJob
-	}
-	job.cancel = true
-	if !job.held && job.remoteID == "" {
-		c.finishLocked(job, service.JobCancelled, "cancelled while queued", "")
-	}
-	return c.statusLocked(job), nil
-}
-
-// statusLocked snapshots a job.
-func (c *Coordinator) statusLocked(job *cjob) JobStatus {
-	st := JobStatus{
-		ID:         job.id,
-		State:      job.state,
-		Experiment: job.req.Experiment,
-		Request:    job.req,
-		CacheHit:   job.cacheHit,
-		Error:      job.err,
-		ErrorKind:  job.errKind,
-		Attempts:   job.assigns,
-		Created:    job.created,
-		CPI:        job.cpi,
-		Worker:     job.worker,
-	}
-	if job.state == service.JobDone {
-		st.ResultKey = job.key
-	}
-	if !job.started.IsZero() {
-		t := job.started
-		st.Started = &t
-	}
-	if !job.finished.IsZero() {
-		t := job.finished
-		st.Finished = &t
-	}
-	return st
-}
-
-// finishLocked moves a job to a terminal state exactly once. The
-// terminal record hits the journal before the transition takes effect,
-// so a crash between the two replays the job as still in flight —
-// at-least-once journaling, made exactly-once by content-addressing.
-func (c *Coordinator) finishLocked(job *cjob, state service.JobState, errMsg, errKind string) {
-	if terminalState(job.state) {
-		return
-	}
-	c.jlog(c.journal.Terminal(job.id, state, errMsg, errKind))
-	job.state = state
-	job.err = errMsg
-	job.errKind = errKind
-	job.finished = time.Now()
-	delete(c.byKey, job.key) // placement fields stay for post-mortem status
-
-	c.terminal++
-	close(job.done)
-	switch state {
-	case service.JobDone:
-		c.counters.Add("completed", 1)
-	case service.JobFailed:
-		c.counters.Add("failed", 1)
-	case service.JobCancelled:
-		c.counters.Add("cancelled", 1)
-	}
-	c.evictLocked()
-}
-
-// evictLocked drops the oldest terminal jobs beyond RetainJobs.
-func (c *Coordinator) evictLocked() {
-	for c.terminal > c.cfg.RetainJobs {
-		evicted := false
-		for i, id := range c.order {
-			job := c.jobs[id]
-			if !terminalState(job.state) {
-				continue
-			}
-			delete(c.jobs, id)
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			c.terminal--
-			evicted = true
-			break
-		}
-		if !evicted {
-			return
-		}
-	}
-}
-
-// placeLocked records that job lives on worker as remoteID, journaled
-// before the table changes.
-func (c *Coordinator) placeLocked(job *cjob, worker, remoteID string) {
-	c.jlog(c.journal.Assign(job.id, worker, remoteID, job.assigns))
-	job.worker, job.remoteID = worker, remoteID
-}
-
-// requeueLocked hands a job back to the queue, counting why: its
-// placement is journaled away and any idle lane may claim it. A job the
-// client has cancelled ends cancelled instead, since no worker holds it
-// any more.
-func (c *Coordinator) requeueLocked(job *cjob, why string) {
-	job.held = false
-	if terminalState(job.state) {
-		return
-	}
-	if job.worker != "" {
-		c.jlog(c.journal.Unassign(job.id))
-		job.worker, job.remoteID = "", ""
-	}
-	c.counters.Add(why, 1)
-	c.cfg.Logf("cluster: %s requeued (%s)", job.id, why)
-	if job.cancel {
-		c.finishLocked(job, service.JobCancelled, "cancelled", "")
-		return
-	}
-	job.state = service.JobQueued
-	c.cond.Broadcast()
-}
-
-// observeLocked mirrors a worker-reported status onto the job. A job the
-// worker reports done reads as running until its result is durable here.
-func observeLocked(job *cjob, st service.JobStatus) {
-	switch st.State {
-	case service.JobQueued:
-		job.state = service.JobQueued
-	case service.JobRunning, service.JobDone:
-		job.state = service.JobRunning
-		if job.started.IsZero() {
-			job.started = time.Now()
-			if st.Started != nil {
-				job.started = *st.Started
-			}
-		}
-	}
 }
 
 // run is the probe loop: an immediate first round (readyz and the
@@ -769,12 +416,12 @@ func (c *Coordinator) probe() {
 	if c.Fenced() {
 		return
 	}
-	c.mu.Lock()
+	c.Lock()
 	targets := make([]*member, 0, len(c.members))
 	for _, m := range c.members {
 		targets = append(targets, m)
 	}
-	c.mu.Unlock()
+	c.Unlock()
 
 	listings := make([]*workerListing, len(targets))
 	var wg sync.WaitGroup
@@ -794,8 +441,8 @@ func (c *Coordinator) probe() {
 	}
 	wg.Wait()
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Lock()
+	defer c.Unlock()
 	for i, m := range targets {
 		if l := listings[i]; l != nil {
 			c.upLocked(m, l)
@@ -819,21 +466,18 @@ func (c *Coordinator) upLocked(m *member, l *workerListing) {
 		m.ctx, m.stop = context.WithCancel(c.ctx)
 		m.lanes = 0
 		c.counters.Add("worker_joined", 1)
-		c.jlog(c.journal.Member(m.name, true))
+		c.JournalMember(m.name, true)
 		c.cfg.Logf("cluster: worker %s alive", m.name)
 	}
 	for _, st := range l.Jobs {
-		if st.State != service.JobQueued && st.State != service.JobRunning {
-			continue
-		}
-		if job := c.byKey[st.ResultKey]; job != nil && job.worker == "" && !job.held {
-			c.placeLocked(job, m.name, st.ID)
+		if (st.State == service.JobQueued || st.State == service.JobRunning) &&
+			c.AdoptLocked(st.ResultKey, m.name, st.ID) {
 			c.counters.Add("adopted", 1)
 		}
 	}
 	m.want = lanesFor(l.Workers)
 	if m.lanes > m.want {
-		c.cond.Broadcast() // surplus lanes retire at their next claim
+		c.Broadcast() // surplus lanes retire at their next claim
 	}
 	for ; m.lanes < m.want && !c.closed && !c.fenced; m.lanes++ {
 		c.wg.Add(1)
@@ -855,63 +499,34 @@ func (c *Coordinator) downLocked(m *member) {
 	}
 	m.alive, m.down = false, true
 	c.counters.Add("worker_dead", 1)
-	c.jlog(c.journal.Member(m.name, false))
+	c.JournalMember(m.name, false)
 	c.cfg.Logf("cluster: worker %s dead after %d failed probes", m.name, m.fails)
-	for _, job := range c.jobs {
-		if job.worker == m.name && !job.held {
-			c.requeueLocked(job, "rehashed")
-		}
-	}
-	c.cond.Broadcast()
+	c.RequeueWorkerLocked(m.name, "rehashed")
+	c.Broadcast()
 }
 
-// lane is one dispatch slot on worker m: it claims the next job, drives
-// it to a terminal state or back to the queue, and repeats until m dies
-// (ctx ends), the lane is surplus, or the coordinator stops.
+// lane is one dispatch slot on worker m: it claims the next job for m
+// — one already placed there first — drives it to a terminal state or
+// back to the queue, and repeats until m dies (ctx ends), the lane is
+// surplus, or the coordinator stops.
 func (c *Coordinator) lane(ctx context.Context, m *member) {
 	defer c.wg.Done()
+	quit := func() bool { // under the table's lock; shutdown and fencing end ctx
+		if ctx.Err() != nil {
+			return true
+		}
+		if m.lanes > m.want {
+			m.lanes--
+			return true
+		}
+		return false
+	}
 	for {
-		job := c.claim(ctx, m)
+		job := c.Claim(m.name, quit)
 		if job == nil {
 			return
 		}
 		c.drive(ctx, m, job)
-	}
-}
-
-// claim blocks until a job is available for m's lane and takes it: the
-// oldest job already placed on m (by the journal or by adoption) first,
-// else the oldest unplaced one. nil means the lane should exit.
-func (c *Coordinator) claim(ctx context.Context, m *member) *cjob {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.closed || c.fenced || ctx.Err() != nil {
-			return nil
-		}
-		if m.lanes > m.want {
-			m.lanes--
-			return nil
-		}
-		var next *cjob
-		for _, id := range c.order {
-			job := c.jobs[id]
-			if job.held || terminalState(job.state) {
-				continue
-			}
-			if job.worker == m.name {
-				next = job
-				break
-			}
-			if job.worker == "" && next == nil {
-				next = job
-			}
-		}
-		if next != nil {
-			next.held = true
-			return next
-		}
-		c.cond.Wait()
 	}
 }
 
@@ -920,10 +535,10 @@ func (c *Coordinator) claim(ctx context.Context, m *member) *cjob {
 // DELETE if the client cancels, and on done make the result durable
 // here. Other outcomes hand the job back to the queue, or — when the
 // coordinator stops — leave it to the journal.
-func (c *Coordinator) drive(ctx context.Context, m *member, job *cjob) {
-	c.mu.Lock()
-	rid := job.remoteID
-	c.mu.Unlock()
+func (c *Coordinator) drive(ctx context.Context, m *member, job *service.Job) {
+	c.Lock()
+	_, rid := job.Placement()
+	c.Unlock()
 	var st service.JobStatus // zero State: attached, nothing observed yet
 	if rid == "" {
 		var ok bool
@@ -943,26 +558,22 @@ func (c *Coordinator) drive(ctx context.Context, m *member, job *cjob) {
 				return
 			}
 		case service.JobFailed:
-			c.mu.Lock()
-			c.finishLocked(job, service.JobFailed, st.Error, st.ErrorKind)
-			c.mu.Unlock()
+			c.Lock()
+			c.FinishLocked(job, service.JobFailed, st.Error, st.ErrorKind, nil)
+			c.Unlock()
 			return
 		case service.JobCancelled:
-			c.mu.Lock()
-			if job.cancel {
-				c.finishLocked(job, service.JobCancelled, "cancelled", "")
-			} else {
-				// Cancelled out of band (a DELETE straight to the worker):
-				// the client still wants the result.
-				c.requeueLocked(job, "requeued_cancelled")
-			}
-			c.mu.Unlock()
+			// Cancelled here, or out of band (a DELETE straight to the
+			// worker), in which case the client still wants the result.
+			c.Lock()
+			c.RequeueLocked(job, "requeued_cancelled", "")
+			c.Unlock()
 			return
 		default: // queued, running, or not yet observed
-			c.mu.Lock()
-			observeLocked(job, st)
-			sendCancel := job.cancel && !cancelSent
-			c.mu.Unlock()
+			c.Lock()
+			c.ObserveLocked(job, st)
+			sendCancel := job.CancelRequested() && !cancelSent
+			c.Unlock()
 			if sendCancel {
 				err = c.client.do(ctx, m.name, http.MethodDelete, jobURL, nil, &st)
 				cancelSent = err == nil
@@ -979,47 +590,38 @@ func (c *Coordinator) drive(ctx context.Context, m *member, job *cjob) {
 }
 
 // post sends a claimed job to m's worker and records the placement. A
-// job cancelled or out of assignments ends here; on an RPC failure it
-// goes back to the queue and the lane pauses, so a failing worker cannot
-// spin it.
-func (c *Coordinator) post(ctx context.Context, m *member, job *cjob) (service.JobStatus, bool) {
+// job cancelled meanwhile ends here; on an RPC failure it goes back to
+// the queue and the lane pauses, so a failing worker cannot spin it.
+func (c *Coordinator) post(ctx context.Context, m *member, job *service.Job) (service.JobStatus, bool) {
 	var st service.JobStatus
-	c.mu.Lock()
-	switch {
-	case job.cancel:
-		c.finishLocked(job, service.JobCancelled, "cancelled while queued", "")
-	case job.assigns >= c.cfg.MaxAssigns:
-		c.finishLocked(job, service.JobFailed,
-			fmt.Sprintf("exceeded %d worker assignments", c.cfg.MaxAssigns), "cluster")
+	c.Lock()
+	cancelled := job.CancelRequested()
+	if cancelled {
+		c.FinishLocked(job, service.JobCancelled, "cancelled while queued", "", nil)
 	}
-	ended := terminalState(job.state)
-	c.mu.Unlock()
-	if ended {
+	c.Unlock()
+	if cancelled {
 		return st, false
 	}
 
-	err := c.client.do(ctx, m.name, http.MethodPost, m.url+"/v1/jobs", job.req, &st)
-	c.mu.Lock()
-	if err != nil {
+	if err := c.client.do(ctx, m.name, http.MethodPost, m.url+"/v1/jobs", job.Request, &st); err != nil {
 		switch {
 		case ctx.Err() != nil: // worker declared dead or coordinator stopping
 		case StatusCode(err) == http.StatusTooManyRequests:
 			c.counters.Add("dispatch_backpressure", 1)
 		default:
 			c.counters.Add("rpc_errors", 1)
-			c.cfg.Logf("cluster: dispatch %s to %s: %v", job.id, m.name, err)
+			c.cfg.Logf("cluster: dispatch %s to %s: %v", job.ID, m.name, err)
 		}
-		job.held = false
-		c.cond.Broadcast()
-		c.mu.Unlock()
+		c.Release(job)
 		c.pause(ctx)
 		return st, false
 	}
-	job.assigns++
-	c.placeLocked(job, m.name, st.ID)
+	c.Lock()
+	c.StartLocked(job, m.name, st.ID, nil)
+	c.Unlock()
 	c.counters.Add("dispatched", 1)
-	c.mu.Unlock()
-	c.cfg.Logf("cluster: %s -> %s as %s", job.id, m.name, st.ID)
+	c.cfg.Logf("cluster: %s -> %s as %s", job.ID, m.name, st.ID)
 	return st, true
 }
 
@@ -1028,22 +630,22 @@ func (c *Coordinator) post(ctx context.Context, m *member, job *cjob) (service.J
 // 404 (the worker lost the job, or the result) hands it back to the
 // queue; anything else waits one PollInterval and tries again — the
 // probe, not one failed call, decides that a worker is gone.
-func (c *Coordinator) retry(ctx context.Context, m *member, job *cjob, err error) bool {
+func (c *Coordinator) retry(ctx context.Context, m *member, job *service.Job, err error) bool {
 	keep := false
-	c.mu.Lock()
+	c.Lock()
 	switch {
 	case c.closed || c.fenced:
 	case ctx.Err() != nil:
-		c.requeueLocked(job, "rehashed")
+		c.RequeueLocked(job, "rehashed", "")
 	case StatusCode(err) == http.StatusNotFound:
-		c.requeueLocked(job, "requeued_lost")
+		c.RequeueLocked(job, "requeued_lost", "")
 	default:
 		c.counters.Add("rpc_errors", 1)
 		keep = true
 	}
-	c.mu.Unlock()
+	c.Unlock()
 	if keep {
-		c.cfg.Logf("cluster: %s on %s: %v", job.id, m.name, err)
+		c.cfg.Logf("cluster: %s on %s: %v", job.ID, m.name, err)
 		c.pause(ctx)
 	}
 	return keep
@@ -1064,23 +666,22 @@ func (c *Coordinator) pause(ctx context.Context) {
 // only then is the terminal record journaled (done ⇒ the result is
 // durable here, so a worker dying right after finishing costs a rerun,
 // never a done-but-unfetchable job). The envelope is then replicated.
-func (c *Coordinator) complete(ctx context.Context, m *member, job *cjob, st service.JobStatus) error {
-	env, err := c.client.getBytes(ctx, m.name, m.url+"/v1/store/"+job.key)
+func (c *Coordinator) complete(ctx context.Context, m *member, job *service.Job, st service.JobStatus) error {
+	env, err := c.client.getBytes(ctx, m.name, m.url+"/v1/store/"+job.Key)
 	if err != nil {
 		return err
 	}
 	if env == nil {
 		return &statusError{code: http.StatusNotFound, body: "result envelope missing on " + m.name}
 	}
-	if err := c.store.PutEnvelope(job.key, env); err != nil {
+	if err := c.store.PutEnvelope(job.Key, env); err != nil {
 		return &statusError{code: http.StatusNotFound, body: err.Error()}
 	}
-	c.mu.Lock()
-	observeLocked(job, st)
-	job.cpi = st.CPI
-	c.finishLocked(job, service.JobDone, "", "")
-	c.mu.Unlock()
-	c.replicate(ctx, job.key, m.name, env)
+	c.Lock()
+	c.ObserveLocked(job, st)
+	c.FinishLocked(job, service.JobDone, "", "", st.CPI)
+	c.Unlock()
+	c.replicate(ctx, job.Key, m.name, env)
 	return nil
 }
 
@@ -1093,9 +694,9 @@ func (c *Coordinator) complete(ctx context.Context, m *member, job *cjob, st ser
 // the coordinator's copy already satisfies the done ⇒ durable
 // handshake, and the next peer fetch self-heals the replica.
 func (c *Coordinator) replicate(ctx context.Context, key, completer string, env []byte) {
-	c.mu.Lock()
+	c.Lock()
 	urls := c.liveURLsLocked()
-	c.mu.Unlock()
+	c.Unlock()
 	for _, name := range c.ring.Owners(key, 2) {
 		if name == completer || urls[name] == "" {
 			continue
@@ -1126,9 +727,9 @@ func (c *Coordinator) liveURLsLocked() map[string]string {
 // fleet. First hit wins; all-404 is a clean miss; a miss with transport
 // errors reports the first error so the store counts it.
 func (c *Coordinator) fetchEnvelope(ctx context.Context, key string) ([]byte, error) {
-	c.mu.Lock()
+	c.Lock()
 	urls := c.liveURLsLocked()
-	c.mu.Unlock()
+	c.Unlock()
 	var cands []string
 	seen := make(map[string]bool)
 	add := func(name string) {

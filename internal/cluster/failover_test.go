@@ -93,7 +93,7 @@ func TestCoordinatorJournalRestart(t *testing.T) {
 	}
 	terminal := 0
 	for _, rj := range replay {
-		if terminalState(rj.State) {
+		if rj.State.Terminal() {
 			terminal++
 		}
 	}
@@ -460,8 +460,8 @@ func TestStealDuringWorkerDeath(t *testing.T) {
 		}
 	}
 	c := coord.Counters()
-	if got := c.Get("completed"); got != jobs {
-		t.Errorf("completed = %d, want %d", got, jobs)
+	if got := c.Get("done"); got != jobs {
+		t.Errorf("done = %d, want %d", got, jobs)
 	}
 	if got := nodes["w2"].sched.Counters().Get("simulated"); got != jobs {
 		t.Errorf("survivor simulated %d jobs, want each of %d exactly once", got, jobs)
@@ -488,8 +488,8 @@ func TestReplayedPlacementOnDeadWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := tableReqs(1)[0]
-	j.Submit("c000001", mustKey(t, req), req)
-	j.Assign("c000001", "w2", "j000001", 1)
+	j.Submit("c000001", mustKey(t, req), req, 0)
+	j.Start("c000001", 1, "w2", "j000001")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func (srv *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleJournalStream serves the cluster journal as NDJSON: a meta line
+// handleJournalStream serves the coordinator's journal as NDJSON: a meta line
 // carrying the coordinator's identity and epoch, every journal record
 // from the head, then a live tail with heartbeat lines during silence.
 // This is the standby's replication feed — by tailing it, a standby
@@ -135,7 +135,7 @@ func (srv *Server) handleJournalStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	meta := fmt.Sprintf("{\"meta\":true,\"epoch\":%d,\"node\":%q,\"version\":%q}\n",
-		srv.coord.Epoch(), srv.coord.cfg.Node, JournalVersion)
+		srv.coord.Epoch(), srv.coord.cfg.Node, service.JournalVersion)
 	if _, err := fmt.Fprint(w, meta); err != nil {
 		return
 	}

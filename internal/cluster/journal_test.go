@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,10 +8,9 @@ import (
 	"time"
 
 	"acb/internal/service"
-	"acb/internal/wal"
 )
 
-// TestClusterJournalRoundTrip: submit/assign/unassign/terminal records
+// TestClusterJournalRoundTrip: submit/start/requeue/terminal records
 // survive a close-and-reopen with last-placement-wins semantics, and
 // terminal jobs come back frozen so replay never re-runs them.
 func TestClusterJournalRoundTrip(t *testing.T) {
@@ -27,16 +25,16 @@ func TestClusterJournalRoundTrip(t *testing.T) {
 	reqs := tableReqs(3)
 	// c1: placed then finished. c2: placed, requeued, placed on another
 	// worker. c3: placed then unassigned (its worker died).
-	j.Submit("c1", mustKey(t, reqs[0]), reqs[0])
-	j.Assign("c1", "w1", "j1", 1)
+	j.Submit("c1", mustKey(t, reqs[0]), reqs[0], 0)
+	j.Start("c1", 1, "w1", "j1")
 	j.Terminal("c1", service.JobDone, "", "")
-	j.Submit("c2", mustKey(t, reqs[1]), reqs[1])
-	j.Assign("c2", "w1", "j2", 1)
-	j.Unassign("c2")
-	j.Assign("c2", "w2", "j9", 2)
-	j.Submit("c3", mustKey(t, reqs[2]), reqs[2])
-	j.Assign("c3", "w1", "j3", 1)
-	j.Unassign("c3")
+	j.Submit("c2", mustKey(t, reqs[1]), reqs[1], 0)
+	j.Start("c2", 1, "w1", "j2")
+	j.Requeue("c2", 1, "rehashed")
+	j.Start("c2", 2, "w2", "j9")
+	j.Submit("c3", mustKey(t, reqs[2]), reqs[2], 0)
+	j.Start("c3", 1, "w1", "j3")
+	j.Requeue("c3", 1, "rehashed")
 	j.Member("w1", false)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -50,7 +48,7 @@ func TestClusterJournalRoundTrip(t *testing.T) {
 	if len(replay) != 3 {
 		t.Fatalf("replayed %d jobs, want 3", len(replay))
 	}
-	byID := make(map[string]ReplayedJob, len(replay))
+	byID := make(map[string]service.ReplayJob, len(replay))
 	for i, rj := range replay {
 		byID[rj.ID] = rj
 		if want := []string{"c1", "c2", "c3"}[i]; rj.ID != want {
@@ -61,8 +59,8 @@ func TestClusterJournalRoundTrip(t *testing.T) {
 		t.Errorf("c1 state %q, want done", rj.State)
 	}
 	rj := byID["c2"]
-	if rj.State != "" || rj.Worker != "w2" || rj.RemoteID != "j9" || rj.Assigns != 2 {
-		t.Errorf("c2 replay = %+v, want pending on w2/j9 assigns=2", rj)
+	if rj.State != "" || rj.Worker != "w2" || rj.RemoteID != "j9" || rj.Attempt != 2 {
+		t.Errorf("c2 replay = %+v, want pending on w2/j9 attempt=2", rj)
 	}
 	if rj := byID["c3"]; rj.State != "" || rj.Worker != "" || rj.RemoteID != "" {
 		t.Errorf("c3 replay = %+v, want pending and unplaced", rj)
@@ -82,15 +80,15 @@ func TestClusterJournalCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := tableReqs(2)
-	j.Submit("c1", mustKey(t, reqs[0]), reqs[0])
-	j.Assign("c1", "w1", "j1", 1)
+	j.Submit("c1", mustKey(t, reqs[0]), reqs[0], 0)
+	j.Start("c1", 1, "w1", "j1")
 	j.Terminal("c1", service.JobDone, "", "")
-	j.Submit("c2", mustKey(t, reqs[1]), reqs[1])
+	j.Submit("c2", mustKey(t, reqs[1]), reqs[1], 0)
 	for i := 0; i < 5; i++ { // churn that compaction should squash
-		j.Assign("c2", "w1", "j2", i+1)
-		j.Unassign("c2")
+		j.Start("c2", i+1, "w1", "j2")
+		j.Requeue("c2", i+1, "rehashed")
 	}
-	j.Assign("c2", "w2", "jF", 7)
+	j.Start("c2", 7, "w2", "jF")
 	j.Close()
 
 	j2, replay, err := OpenJournal(path)
@@ -102,7 +100,7 @@ func TestClusterJournalCompaction(t *testing.T) {
 		t.Fatalf("first reopen replayed %d jobs, want 2", len(replay))
 	}
 
-	// The compacted file holds exactly submit+assign for c2 and nothing
+	// The compacted file holds exactly submit+start for c2 and nothing
 	// about c1.
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -118,7 +116,7 @@ func TestClusterJournalCompaction(t *testing.T) {
 			lines++
 		}
 	}
-	if lines != 3 { // version header + submit + assign
+	if lines != 3 { // version header + submit + start
 		t.Errorf("compacted file has %d lines, want 3:\n%s", lines, content)
 	}
 
@@ -131,7 +129,7 @@ func TestClusterJournalCompaction(t *testing.T) {
 	if len(replay) != 1 || replay[0].ID != "c2" {
 		t.Fatalf("second reopen replay = %+v, want just c2", replay)
 	}
-	if rj := replay[0]; rj.Worker != "w2" || rj.RemoteID != "jF" || rj.Assigns != 7 {
+	if rj := replay[0]; rj.Worker != "w2" || rj.RemoteID != "jF" || rj.Attempt != 7 {
 		t.Errorf("c2 placement lost in compaction: %+v", rj)
 	}
 }
@@ -146,8 +144,8 @@ func TestClusterJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := tableReqs(2)
-	j.Submit("c1", mustKey(t, reqs[0]), reqs[0])
-	j.Submit("c2", mustKey(t, reqs[1]), reqs[1])
+	j.Submit("c1", mustKey(t, reqs[0]), reqs[0], 0)
+	j.Submit("c2", mustKey(t, reqs[1]), reqs[1], 0)
 	j.Close()
 
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
@@ -182,7 +180,7 @@ func TestClusterJournalSnapshot(t *testing.T) {
 	}
 	defer j.Close()
 	req := tableReqs(1)[0]
-	j.Submit("c1", mustKey(t, req), req)
+	j.Submit("c1", mustKey(t, req), req, 0)
 
 	recs, next, updated := j.Snapshot(0)
 	if len(recs) != 1 || next != 1 {
@@ -193,7 +191,7 @@ func TestClusterJournalSnapshot(t *testing.T) {
 		t.Fatal("updated channel closed before any append")
 	default:
 	}
-	go j.Assign("c1", "w1", "j1", 1)
+	go j.Start("c1", 1, "w1", "j1")
 	select {
 	case <-updated:
 	case <-time.After(5 * time.Second):
@@ -203,37 +201,7 @@ func TestClusterJournalSnapshot(t *testing.T) {
 	if len(recs) != 1 || next != 2 {
 		t.Fatalf("incremental snapshot = %d records next=%d, want 1/2", len(recs), next)
 	}
-	if !strings.Contains(string(recs[0]), `"assign"`) {
-		t.Errorf("incremental record = %s, want the assign", recs[0])
-	}
-}
-
-// TestClusterJournalReplaysStealFields: journals written while the
-// coordinator still stole work carry stolen/steal fields on assign
-// records. Replay ignores them and keeps the placement.
-func TestClusterJournalReplaysStealFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cluster.journal")
-	req := tableReqs(1)[0]
-	sub, err := json.Marshal(centry{Op: "submit", ID: "c1", Key: mustKey(t, req), Request: &req})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := `{"op":"assign","id":"c1","worker":"w2","remote_id":"j9","assigns":2,"stolen":1,"steal":true}`
-	l, err := wal.Create(path, JournalVersion, []interface{}{json.RawMessage(sub), json.RawMessage(old)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	j, replay, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if len(replay) != 1 {
-		t.Fatalf("replayed %d jobs, want 1", len(replay))
-	}
-	if rj := replay[0]; rj.State != "" || rj.Worker != "w2" || rj.RemoteID != "j9" || rj.Assigns != 2 {
-		t.Errorf("c1 replay = %+v, want pending on w2/j9 assigns=2", rj)
+	if !strings.Contains(string(recs[0]), `"op":"start"`) {
+		t.Errorf("incremental record = %s, want the start", recs[0])
 	}
 }

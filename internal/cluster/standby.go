@@ -78,7 +78,7 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 		// the next successful tail resets them to the primary's stream
 		// head, and they only matter if the standby promotes before it
 		// ever reaches the primary.
-		recs, err := wal.Replay(cfg.JournalPath, JournalVersion)
+		recs, err := service.ReadJournal(cfg.JournalPath)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +86,7 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 		for i, r := range recs {
 			asAny[i] = r
 		}
-		wlog, err := wal.Create(cfg.JournalPath, JournalVersion, asAny)
+		wlog, err := wal.Create(cfg.JournalPath, service.JournalVersion, asAny)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +229,7 @@ func (s *Standby) tailOnce() {
 			s.records = s.records[:0]
 			if s.wlog != nil {
 				s.wlog.Close()
-				if wlog, err := wal.Create(s.cfg.JournalPath, JournalVersion, nil); err == nil {
+				if wlog, err := wal.Create(s.cfg.JournalPath, service.JournalVersion, nil); err == nil {
 					s.wlog = wlog
 				} else {
 					s.wlog = nil
@@ -313,12 +313,12 @@ func (s *Standby) promote() {
 		journal, replay, err := OpenJournal(s.cfg.JournalPath)
 		if err != nil {
 			s.cfg.Cluster.Logf("cluster: standby journal open: %v; recovering from memory", err)
-			cfg.Journal, cfg.Replay = nil, reduceClusterJournal(records)
+			cfg.Journal, cfg.Replay = nil, service.ReduceJournal(records)
 		} else {
 			cfg.Journal, cfg.Replay = journal, replay
 		}
 	} else {
-		cfg.Replay = reduceClusterJournal(records)
+		cfg.Replay = service.ReduceJournal(records)
 	}
 
 	store := s.cfg.Store

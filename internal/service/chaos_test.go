@@ -112,15 +112,18 @@ func TestChaosStorm(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	// Every terminal transition was journaled, so a restart finds nothing
-	// to replay: no job lost, none resurrected for a double run.
+	// Every terminal transition was journaled, so a restart finds every
+	// job terminal and nothing to re-run: no job lost, none resurrected
+	// for a double run.
 	j2, replay, err := OpenJournal(journalFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if len(replay) != 0 {
-		t.Fatalf("journal replayed %d jobs after clean terminal states: %+v", len(replay), replay)
+	for _, rj := range replay {
+		if !rj.State.Terminal() {
+			t.Fatalf("journal replayed pending job %+v after clean terminal states", rj)
+		}
 	}
 }
 

@@ -351,7 +351,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, st := range States {
 		fmt.Fprintf(&b, "acbd_jobs{state=%q} %d\n", st, counts[st])
 	}
-	gauge("acbd_queue_depth", "Jobs waiting in the bounded queue.", srv.sched.QueueDepth())
+	gauge("acbd_queue_depth", "Jobs queued for a worker, retry backoffs included.", counts[JobQueued])
 
 	fmt.Fprintf(&b, "# HELP acbd_events_total Monotonic scheduler events.\n# TYPE acbd_events_total counter\n")
 	c := srv.sched.Counters()

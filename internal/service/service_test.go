@@ -442,6 +442,58 @@ func TestSchedulerShutdownTimeoutCancels(t *testing.T) {
 	}
 }
 
+// TestShutdownDeadlineKeepsJournaledJob: a run that Shutdown's deadline
+// cuts off is not over. It ends cancelled in memory but leaves no
+// terminal record, so reopening the journal replays it as interrupted,
+// exactly as a kill -9 at the same moment would.
+func TestShutdownDeadlineKeepsJournaledJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	path := journalPath(t)
+	journal, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(SchedulerConfig{Journal: journal}, store)
+	st, _, err := sched.Submit(Request{Experiment: "census", Workloads: []string{"lammps"}, Budget: 200_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if cur, _ := sched.Job(st.ID); cur.State == JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := sched.Shutdown(ctx); err == nil {
+		t.Fatal("shutdown drained a 200M-instruction job in 200ms?")
+	}
+	if final, _ := sched.Job(st.ID); final.State != JobCancelled {
+		t.Fatalf("after forced shutdown job is %s, want cancelled", final.State)
+	}
+
+	j2, replay, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(replay) != 1 || replay[0].ID != st.ID || !replay[0].Interrupted || replay[0].Attempt != 1 {
+		t.Fatalf("replay = %+v, want %s back as interrupted with attempt 1", replay, st.ID)
+	}
+}
+
 // TestServiceRejectsBadRequests covers the 400/404 surfaces.
 func TestServiceRejectsBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, SchedulerConfig{}, "")

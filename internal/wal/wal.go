@@ -6,11 +6,9 @@
 // result store and the coordinator's lease write through as well.
 //
 // The package deliberately knows nothing about what a record means.
-// Callers — the single-node job journal in internal/service and the
-// cluster job-table journal in internal/cluster — define their own
-// entry types and their own replay reduction over the raw records this
-// package returns. That split keeps one tested durability
-// implementation under every log whose semantics differ.
+// Its caller — the job journal in internal/service, which every acbd
+// role writes, and the standby's mirror of it — defines the entry type
+// and the replay reduction over the raw records this package returns.
 package wal
 
 import (
@@ -21,6 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -56,14 +55,14 @@ type Log struct {
 }
 
 // Replay reads the log at path and returns its raw records in append
-// order. A missing file is an empty log. The header line must carry
-// exactly version (ErrVersion otherwise; a malformed header is its own
+// order. A missing file is an empty log. The header line must carry one
+// of versions (ErrVersion otherwise; a malformed header is its own
 // error — never silently treated as empty).
 //
 // A torn final line — the tail of an append cut off by the crash the
 // log exists to survive — ends replay silently; everything before it is
 // intact because each record was fsync'd before the next began.
-func Replay(path, version string) ([]json.RawMessage, error) {
+func Replay(path string, versions ...string) ([]json.RawMessage, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -82,8 +81,8 @@ func Replay(path, version string) ([]json.RawMessage, error) {
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Version == "" {
 		return nil, fmt.Errorf("wal: %s: malformed header %q", path, sc.Text())
 	}
-	if hdr.Version != version {
-		return nil, fmt.Errorf("%w: file %q, this build %q", ErrVersion, hdr.Version, version)
+	if !slices.Contains(versions, hdr.Version) {
+		return nil, fmt.Errorf("%w: file %q, this build reads %q", ErrVersion, hdr.Version, versions)
 	}
 
 	var recs []json.RawMessage
