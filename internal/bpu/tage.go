@@ -99,9 +99,17 @@ func (t *TAGE) nextRand() uint64 {
 }
 
 // Predict implements Predictor.
-func (t *TAGE) Predict(pc uint64, _ bool) Prediction {
-	p := Prediction{Hist: t.hist, provider: -1}
-	p.baseIdx = mix(pc, 0, t.baseBits)
+func (t *TAGE) Predict(pc uint64, _ bool) (p Prediction) {
+	t.lookup(pc, &p)
+	return p
+}
+
+// lookup overwrites p with the prediction for the branch at pc: the
+// table indices and tags under the current history, the provider and
+// alternate components, the direction and its confidence. Predict and the
+// warm path share it, so TAGE's lookup exists once.
+func (t *TAGE) lookup(pc uint64, p *Prediction) {
+	*p = Prediction{Hist: t.hist, provider: -1, baseIdx: mix(pc, 0, t.baseBits)}
 	baseTaken := t.base[p.baseIdx] >= 2
 
 	provider, alt := -1, -1
@@ -138,7 +146,6 @@ func (t *TAGE) Predict(pc uint64, _ bool) Prediction {
 		p.Taken = baseTaken
 		p.Conf = confFrom2bit(t.base[p.baseIdx])
 	}
-	return p
 }
 
 // confFromCtr maps a signed 3-bit counter to 0..3 confidence.
@@ -151,7 +158,21 @@ func confFromCtr(c int8) int {
 
 // Update implements Predictor. It must be called exactly once per
 // prediction, with the Prediction returned at fetch.
-func (t *TAGE) Update(pc uint64, pred Prediction, taken bool) {
+func (t *TAGE) Update(_ uint64, pred Prediction, taken bool) { t.train(&pred, taken) }
+
+// warm is Warm for a TAGE: one lookup into a Prediction on the stack,
+// the outcome shifted into the history, and training from it in place.
+func (t *TAGE) warm(pc uint64, taken bool) {
+	var pred Prediction
+	t.lookup(pc, &pred)
+	t.hist = historyPush(t.hist, pc, taken)
+	t.train(&pred, taken)
+}
+
+// train trains the tables with the resolved outcome of pred, the branch's
+// lookup. Update and the warm path share it, so TAGE's training exists
+// once.
+func (t *TAGE) train(pred *Prediction, taken bool) {
 	correct := pred.Taken == taken
 
 	// USE_ALT_ON_NA bookkeeping for newly-allocated weak providers.
@@ -190,7 +211,7 @@ func (t *TAGE) Update(pc uint64, pred Prediction, taken bool) {
 	// mechanism that thrashes when branch history is unstable: every
 	// mispredict burns an entry in a longer table.
 	if !correct && pred.provider < t.nTables-1 {
-		t.allocate(pc, pred, taken)
+		t.allocate(pred, taken)
 	}
 
 	// Graceful usefulness aging.
@@ -207,7 +228,7 @@ func (t *TAGE) Update(pc uint64, pred Prediction, taken bool) {
 	}
 }
 
-func (t *TAGE) allocate(_ uint64, pred Prediction, taken bool) {
+func (t *TAGE) allocate(pred *Prediction, taken bool) {
 	start := pred.provider + 1
 	// Find candidate tables with a non-useful victim. Only the first two
 	// candidates are ever chosen from, so track them without a slice.

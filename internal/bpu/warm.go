@@ -23,8 +23,13 @@ type Cloner interface {
 // with the resolved direction (retire). Feeding every branch of a
 // fast-forwarded region through Warm leaves the predictor in the state an
 // ideal front end would have reached — the standard functional-warming
-// approximation (wrong-path history pollution is not modeled).
+// approximation (wrong-path history pollution is not modeled). A *TAGE
+// takes the same steps without copying its Prediction.
 func Warm(p Predictor, pc uint64, taken bool) {
+	if t, ok := p.(*TAGE); ok {
+		t.warm(pc, taken)
+		return
+	}
 	pred := p.Predict(pc, taken)
 	p.PushHistory(pc, taken)
 	p.Update(pc, pred, taken)

@@ -107,3 +107,53 @@ func TestWarmTrainsPredictor(t *testing.T) {
 		})
 	}
 }
+
+// genericOnly hides a predictor's concrete type, so Warm takes the
+// generic Predict, PushHistory, Update sequence.
+type genericOnly struct{ Predictor }
+
+// TestTAGEWarmMatchesGenericPath warms one TAGE through Warm's TAGE path
+// and another through the generic sequence, over more than 2^18 branches
+// so the usefulness aging runs, and compares their whole state.
+func TestTAGEWarmMatchesGenericPath(t *testing.T) {
+	fast, slow := NewTAGE(DefaultTAGEConfig()), NewTAGE(DefaultTAGEConfig())
+	generic := genericOnly{slow}
+	const n = 1<<18 + 40_000
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		// 4k branch sites; a third random, the rest following a history
+		// pattern, so predictions miss, allocate and age.
+		pc := (x >> 8) & 0xFFF
+		taken := x&1 == 0
+		if pc%3 != 0 {
+			taken = (fast.hist>>(pc%7))&1 == 1
+		}
+		Warm(fast, pc, taken)
+		Warm(generic, pc, taken)
+	}
+	if slow.tick != n-(1<<18) {
+		t.Fatalf("tick = %d: the usefulness aging did not run once", slow.tick)
+	}
+	if fast.hist != slow.hist || fast.rng != slow.rng || fast.tick != slow.tick || fast.useAltOnNA != slow.useAltOnNA {
+		t.Fatalf("hist %#x/%#x, rng %#x/%#x, tick %d/%d, useAltOnNA %d/%d (TAGE path/generic path)",
+			fast.hist, slow.hist, fast.rng, slow.rng, fast.tick, slow.tick, fast.useAltOnNA, slow.useAltOnNA)
+	}
+	if slow.rng == NewTAGE(DefaultTAGEConfig()).rng {
+		t.Fatalf("no allocation drew a random number")
+	}
+	for i, b := range slow.base {
+		if fast.base[i] != b {
+			t.Fatalf("base[%d] = %d by the TAGE path, %d by the generic path", i, fast.base[i], b)
+		}
+	}
+	for i := range slow.entries {
+		for j, e := range slow.entries[i] {
+			if fast.entries[i][j] != e {
+				t.Fatalf("table %d entry %d = %+v by the TAGE path, %+v by the generic path", i, j, fast.entries[i][j], e)
+			}
+		}
+	}
+}

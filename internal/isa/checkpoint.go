@@ -58,19 +58,5 @@ type Event struct {
 // a run cut into any number of calls yields the same concatenated events,
 // final state and step count as one uninterrupted call.
 func (s *ArchState) RunEvents(prog []Instruction, maxSteps int64, events []Event) (out []Event, steps int64, halted bool) {
-	var res StepResult
-	for steps < maxSteps && len(events) < cap(events) {
-		s.step(prog, &res)
-		steps++
-		if res.Halted {
-			return events, steps, true
-		}
-		switch res.Inst.Op {
-		case Br:
-			events = append(events, Event{Addr: int64(res.PC), Op: Br, Taken: res.Taken})
-		case Load, Store:
-			events = append(events, Event{Addr: res.EffAddr, Op: res.Inst.Op})
-		}
-	}
-	return events, steps, false
+	return s.exec(prog, maxSteps, events, true, nil)
 }

@@ -250,71 +250,125 @@ type StepResult struct {
 // the state. It returns the architectural effects of the instruction.
 func (s *ArchState) Step(prog []Instruction) StepResult {
 	var res StepResult
-	s.step(prog, &res)
+	s.exec(prog, 1, nil, false, &res)
 	return res
-}
-
-// step is Step writing into a caller-owned result, so the Run/RunEvents hot
-// loops reuse one StepResult instead of copying ~80 bytes per instruction.
-func (s *ArchState) step(prog []Instruction, res *StepResult) {
-	if s.PC < 0 || s.PC >= len(prog) {
-		panic(fmt.Sprintf("isa: PC %d out of range [0,%d)", s.PC, len(prog)))
-	}
-	in := &prog[s.PC]
-	*res = StepResult{Inst: in, PC: s.PC, NextPC: s.PC + 1}
-	switch in.Op {
-	case Nop:
-	case Halt:
-		res.Halted = true
-		res.NextPC = s.PC
-	case Load:
-		res.EffAddr = s.Regs[in.Rs1] + in.Imm
-		res.Value = s.Mem.Load(res.EffAddr)
-		res.HasValue = true
-		s.Regs[in.Rd] = res.Value
-	case Store:
-		res.EffAddr = s.Regs[in.Rs1] + in.Imm
-		res.Value = s.Regs[in.Rs2]
-		s.Mem.Store(res.EffAddr, res.Value)
-	case Br:
-		a := s.Regs[in.Rs1]
-		var b int64
-		if in.Cond.UsesRs2() {
-			b = s.Regs[in.Rs2]
-		}
-		res.Taken = in.Cond.Eval(a, b)
-		if res.Taken {
-			res.NextPC = in.Target
-		}
-	case Jmp:
-		res.Taken = true
-		res.NextPC = in.Target
-	default:
-		var a, b int64
-		switch in.NumSources() {
-		case 2:
-			a, b = s.Regs[in.Rs1], s.Regs[in.Rs2]
-		case 1:
-			a = s.Regs[in.Rs1]
-		}
-		res.Value = in.ALUResult(a, b)
-		res.HasValue = true
-		s.Regs[in.Rd] = res.Value
-	}
-	s.PC = res.NextPC
 }
 
 // Run executes until Halt or until maxSteps instructions have retired,
 // returning the number of instructions executed and whether the program
 // halted.
 func (s *ArchState) Run(prog []Instruction, maxSteps int64) (steps int64, halted bool) {
-	var res StepResult
+	_, steps, halted = s.exec(prog, maxSteps, nil, false, nil)
+	return steps, halted
+}
+
+// exec is the interpreter: the one execution loop behind Step, Run,
+// RunEvents and RunHooked. It executes until Halt or until maxSteps
+// instructions have executed. With record it also appends one Event per
+// conditional branch, load and store to events, and stops once events is
+// full without ever growing it. With res it describes each instruction in
+// res; Step runs one instruction this way, and RunHooked one per call.
+//
+// The PC lives in a local and is written back before exec returns or
+// panics on an out-of-range PC; the registers are reached through a local
+// pointer (a local copy of the register file ran the loop no faster and
+// doubled the cost of Step, which copied it in and out on every call).
+// When the state's memory is a *Memory the loop calls it directly, not
+// through Mem.
+func (s *ArchState) exec(prog []Instruction, maxSteps int64, events []Event, record bool,
+	res *StepResult) (_ []Event, steps int64, halted bool) {
+	pc, regs := s.PC, &s.Regs
+	m, _ := s.Mem.(*Memory)
 	for steps < maxSteps {
-		s.step(prog, &res)
-		steps++
-		if res.Halted {
-			return steps, true
+		limit := maxSteps
+		if record {
+			// Each instruction adds at most one event, so the batch
+			// cannot fill before room more steps.
+			room := int64(cap(events) - len(events))
+			if room == 0 {
+				break
+			}
+			limit = min(limit, steps+room)
+		}
+		for ; steps < limit; steps++ {
+			if uint(pc) >= uint(len(prog)) {
+				s.PC = pc
+				panic(fmt.Sprintf("isa: PC %d out of range [0,%d)", pc, len(prog)))
+			}
+			in := &prog[pc]
+			next := pc + 1
+			var addr, val int64
+			var taken bool
+			switch in.Op {
+			case Load:
+				addr = regs[in.Rs1] + in.Imm
+				if m != nil {
+					val = m.Load(addr)
+				} else {
+					val = s.Mem.Load(addr)
+				}
+				regs[in.Rd] = val
+				if record {
+					events = append(events, Event{Addr: addr, Op: Load})
+				}
+			case Store:
+				addr, val = regs[in.Rs1]+in.Imm, regs[in.Rs2]
+				if m != nil {
+					m.Store(addr, val)
+				} else {
+					s.Mem.Store(addr, val)
+				}
+				if record {
+					events = append(events, Event{Addr: addr, Op: Store})
+				}
+			case Br:
+				// Z conditions ignore the second operand.
+				taken = in.Cond.Eval(regs[in.Rs1], regs[in.Rs2])
+				if taken {
+					next = in.Target
+				}
+				if record {
+					events = append(events, Event{Addr: int64(pc), Op: Br, Taken: taken})
+				}
+			case Jmp:
+				taken, next = true, in.Target
+			case Halt:
+				s.PC = pc
+				if res != nil {
+					*res = StepResult{Inst: in, PC: pc, NextPC: pc, Halted: true}
+				}
+				return events, steps + 1, true
+			// AddI, AndI, MovI and Add, two thirds of the instructions the
+			// sampled-long programs execute, are inlined from ALUResult;
+			// the lock-step tests pin them to it.
+			case AddI:
+				val = regs[in.Rs1] + in.Imm
+				regs[in.Rd] = val
+			case AndI:
+				val = regs[in.Rs1] & in.Imm
+				regs[in.Rd] = val
+			case MovI:
+				val = in.Imm
+				regs[in.Rd] = val
+			case Add:
+				val = regs[in.Rs1] + regs[in.Rs2]
+				regs[in.Rd] = val
+			case Nop:
+			default:
+				// An op ignores the operand fields it does not use, which
+				// hold valid registers, so reading both is harmless.
+				val = in.ALUResult(regs[in.Rs1], regs[in.Rs2])
+				regs[in.Rd] = val
+			}
+			if res != nil {
+				// Field by field: a composite literal is built on the
+				// stack and copied, which made Step several ns slower.
+				res.Inst, res.PC, res.NextPC, res.Taken = in, pc, next, taken
+				res.EffAddr, res.Value, res.Halted, res.HasValue = addr, val, false, opHasDest[in.Op]
+			}
+			pc = next
 		}
 	}
-	return steps, false
+	s.PC = pc
+	return events, steps, false
 }

@@ -7,16 +7,17 @@ import "hash/fnv"
 // anything they keep.
 type RunHook func(res *StepResult)
 
-// RunHooked is Run with a per-instruction observer. It is a separate loop
-// so the unhooked Run hot path pays nothing for the feature; callers that
-// pass a nil hook get plain Run behaviour.
+// RunHooked is Run with a per-instruction observer; callers that pass a
+// nil hook get plain Run behaviour.
 func (s *ArchState) RunHooked(prog []Instruction, maxSteps int64, hook RunHook) (steps int64, halted bool) {
 	if hook == nil {
 		return s.Run(prog, maxSteps)
 	}
+	// One instruction per exec call: a hook called from inside exec would
+	// make the StepResult of every Step escape to the heap.
 	var res StepResult
 	for steps < maxSteps {
-		s.step(prog, &res)
+		s.exec(prog, 1, nil, false, &res)
 		steps++
 		hook(&res)
 		if res.Halted {

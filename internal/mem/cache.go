@@ -11,13 +11,17 @@ package mem
 type Cache struct {
 	name     string
 	sets     int
+	setMask  uint64 // sets-1 when sets is a power of two, else 0
 	ways     int
 	lineBits uint
 	latency  int
 
-	tags  []uint64 // sets*ways entries; tag 0 means empty (tags stored +1)
-	lru   []uint64 // per-way last-use stamp
-	stamp uint64
+	// tags holds sets*ways entries, each set's tags in recency order
+	// (most recent first). Tag 0 means empty (tags are stored +1); empty
+	// ways always trail the filled ones, so a miss that drops the set's
+	// last tag drops an empty way if there is one, and otherwise the
+	// least recently used tag.
+	tags []uint64
 
 	hits   int64
 	misses int64
@@ -31,15 +35,18 @@ func NewCache(name string, sizeBytes, ways, latency int) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	return &Cache{
+	c := &Cache{
 		name:     name,
 		sets:     sets,
 		ways:     ways,
 		lineBits: 6,
 		latency:  latency,
 		tags:     make([]uint64, sets*ways),
-		lru:      make([]uint64, sets*ways),
 	}
+	if sets&(sets-1) == 0 {
+		c.setMask = uint64(sets - 1)
+	}
+	return c
 }
 
 // Name returns the cache level's name.
@@ -54,42 +61,47 @@ func (c *Cache) Hits() int64 { return c.hits }
 // Misses returns the number of misses recorded.
 func (c *Cache) Misses() int64 { return c.misses }
 
+// set returns the tags of the set holding line, in recency order.
+func (c *Cache) set(line uint64) []uint64 {
+	set := int(line & c.setMask)
+	if c.setMask == 0 && c.sets > 1 {
+		set = int(line % uint64(c.sets))
+	}
+	base := set * c.ways
+	return c.tags[base : base+c.ways]
+}
+
 // Access probes the cache for the line containing addr and fills it on a
-// miss; it returns true on hit.
+// miss; it returns true on hit. A hit moves the line's tag to the front of
+// its set; a miss shifts the set back by one, dropping its last tag, and
+// puts the new tag in front.
 func (c *Cache) Access(addr int64) bool {
 	line := uint64(addr) >> c.lineBits
-	set := int(line % uint64(c.sets))
 	tag := line + 1 // avoid the zero (empty) encoding
-	base := set * c.ways
-	c.stamp++
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
+	set := c.set(line)
+	for w, t := range set {
+		if t == tag {
 			c.hits++
-			c.lru[base+w] = c.stamp
+			for ; w > 0; w-- {
+				set[w] = set[w-1]
+			}
+			set[0] = tag
 			return true
 		}
 	}
 	c.misses++
-	// Fill: evict the least-recently-used way.
-	victim := base
-	for w := 1; w < c.ways; w++ {
-		if c.lru[base+w] < c.lru[victim] {
-			victim = base + w
-		}
+	for w := len(set) - 1; w > 0; w-- {
+		set[w] = set[w-1]
 	}
-	c.tags[victim] = tag
-	c.lru[victim] = c.stamp
+	set[0] = tag
 	return false
 }
 
 // Contains probes without updating any state (for tests).
 func (c *Cache) Contains(addr int64) bool {
 	line := uint64(addr) >> c.lineBits
-	set := int(line % uint64(c.sets))
-	tag := line + 1
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
+	for _, t := range c.set(line) {
+		if t == line+1 {
 			return true
 		}
 	}
@@ -162,14 +174,13 @@ func (h *Hierarchy) StoreCommit(addr int64) {
 	h.LLC.Access(addr)
 }
 
-// Clone returns an independent deep copy of the cache — tag state, LRU
-// stamps and counters. Sampled simulation warms one hierarchy continuously
-// during functional fast-forward and hands each parallel window a clone of
-// the state at its start.
+// Clone returns an independent deep copy of the cache — tag state, in
+// recency order, and counters. Sampled simulation warms one hierarchy
+// continuously during functional fast-forward and hands each parallel
+// window a clone of the state at its start.
 func (c *Cache) Clone() *Cache {
 	cp := *c
 	cp.tags = append([]uint64(nil), c.tags...)
-	cp.lru = append([]uint64(nil), c.lru...)
 	return &cp
 }
 

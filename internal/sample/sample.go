@@ -234,8 +234,9 @@ type window struct {
 	warmup  int64
 	measure int64 // clipped at the run's end for the last window reached
 	// ready is closed when the fields below are final: by the warm stage
-	// at the next window's marker, or, for the last window reached and
-	// every window the run never reaches, when the fast-forward ends.
+	// once the emulate stage has passed the window's end, or, for the last
+	// window reached and every window the run never reaches, when the
+	// fast-forward ends.
 	ready chan struct{}
 	ckpt  *isa.Checkpoint
 	// pred and hier are the warmed clones; pred is nil for a window that
@@ -348,10 +349,11 @@ const (
 
 // batch is one hand-off from the emulate stage to the warm stage: events
 // in program order, then, if mark is set, the marker of the next window,
-// at which the warm stage clones its state into that window.
+// at which the warm stage clones its state into that window, or, if ready
+// is set, the end of the last window marked, which it makes ready.
 type batch struct {
-	events []isa.Event
-	mark   bool
+	events      []isa.Event
+	mark, ready bool
 }
 
 // warmStage is the fast-forward's second stage: one goroutine that owns
@@ -364,13 +366,14 @@ type warmStage struct {
 	done       chan struct{} // closed when the goroutine exits
 	// Read after done.
 	marks    int // markers applied: windows 0..marks-1 have their clones
+	readied  int // windows 0..readied-1 are ready
 	panicked any // the warm goroutine's panic
 }
 
 // startWarm starts the warm stage, which owns pred (a bpu.Cloner) and hier
-// until join returns. At marker k it fills wins[k] and makes wins[k-1]
-// ready: the emulate stage has passed wins[k]'s start, so wins[k-1], which
-// ends before it, can be neither clipped nor dropped.
+// until join returns. At marker k it fills wins[k], and at the ready flag
+// that follows it makes wins[k] ready: the emulate stage has passed the
+// window's end, so it can be neither clipped nor dropped.
 func startWarm(pred bpu.Predictor, hier *mem.Hierarchy, wins []window) *warmStage {
 	w := &warmStage{
 		full: make(chan *batch, ringBatches),
@@ -386,35 +389,46 @@ func startWarm(pred bpu.Predictor, hier *mem.Hierarchy, wins []window) *warmStag
 			close(w.done)
 		}()
 		for b := range w.full {
-			for _, e := range b.events {
-				switch e.Op {
-				case isa.Br:
-					bpu.Warm(pred, uint64(e.Addr), e.Taken)
-				case isa.Load:
-					hier.LoadLatency(e.Addr)
-				default:
-					hier.StoreCommit(e.Addr)
-				}
-			}
+			warmEvents(pred, hier, b.events)
 			if b.mark {
 				wins[w.marks].pred = pred.(bpu.Cloner).Clone()
 				wins[w.marks].hier = hier.Clone()
-				if w.marks > 0 {
-					close(wins[w.marks-1].ready)
-					// Let the window's job run now. The two stages ready
-					// each other ahead of it, so on a busy CPU it would
-					// otherwise wait up to a scheduler time slice while
-					// more windows pile up (5-8 of 20 on one CPU in
-					// TestFewWindowsAlive, against 2 with the yield).
-					runtime.Gosched()
-				}
 				w.marks++
 			}
-			b.events, b.mark = b.events[:0], false
+			if b.ready {
+				close(wins[w.readied].ready)
+				w.readied++
+			}
+			// Yield after every batch, so that a window job queued on
+			// this goroutine's processor runs now: the one just made
+			// ready, or one the runtime queued behind this goroutine
+			// (after a GC assist, say). The two stages ready each other
+			// ahead of a job, and the warm stage, the longer one, rarely
+			// blocks, so the job would otherwise wait up to a scheduler
+			// time slice (10 ms) while windows pile up (5-8 of 20 alive
+			// at once on one CPU in TestFewWindowsAlive with no yield).
+			runtime.Gosched()
+			b.events, b.mark, b.ready = b.events[:0], false, false
 			w.free <- b
 		}
 	}()
 	return w
+}
+
+// warmEvents applies the emulate stage's events to pred and hier in
+// program order: branch outcomes train the predictor, loads and stores
+// touch the caches.
+func warmEvents(pred bpu.Predictor, hier *mem.Hierarchy, events []isa.Event) {
+	for _, e := range events {
+		switch e.Op {
+		case isa.Br:
+			bpu.Warm(pred, uint64(e.Addr), e.Taken)
+		case isa.Load:
+			hier.LoadLatency(e.Addr)
+		default:
+			hier.StoreCommit(e.Addr)
+		}
+	}
 }
 
 // handOff queues b (if non-nil) for the warm stage and returns an empty
@@ -479,13 +493,14 @@ func startFastForward(prog []isa.Instruction, image *isa.Memory, plan Plan, opts
 }
 
 // release runs once both stages have exited and makes every window not
-// yet ready ready. The last window the warm stage filled runs only if the
-// fast-forward finished and the window has a measured span before the
-// run's end, where it is clipped; the rest never run.
+// yet ready ready. The last window the warm stage filled, unless it is
+// ready already, runs only if the fast-forward finished and the window
+// has a measured span before the run's end, where it is clipped; the rest
+// never run.
 func (f *fastForward) release(warm *warmStage) {
 	marks := warm.marks
 	f.kept = marks
-	if marks > 0 {
+	if marks > warm.readied {
 		w := &f.wins[marks-1]
 		switch {
 		case f.err != nil || f.panicked != nil || w.start+w.warmup >= f.pos:
@@ -495,7 +510,7 @@ func (f *fastForward) release(warm *warmStage) {
 			w.measure = f.pos - w.start - w.warmup
 		}
 	}
-	for i := max(marks-1, 0); i < len(f.wins); i++ {
+	for i := warm.readied; i < len(f.wins); i++ {
 		close(f.wins[i].ready)
 	}
 }
@@ -522,7 +537,9 @@ func (f *fastForward) stop() {
 // run. It steps arch, writes every conditional-branch outcome and
 // load/store address into batches for the warm stage, and at each window
 // start takes the architectural checkpoint and ends the batch with the
-// window's marker. The warm stage applies the same events in the same
+// window's marker. At the end of every window but the last, unless the
+// run ends first, it ends the batch again, so that the warm stage makes
+// the window ready; no later window starts before it. The warm stage applies the same events in the same
 // order a serial pass would, so every window receives the same predictor
 // and cache state. emulate returns the run's functional extent and whether
 // it halted.
@@ -535,24 +552,50 @@ func emulate(ctx context.Context, prog []isa.Instruction, arch *isa.ArchState, w
 	if err != nil {
 		return 0, false, stopped(err)
 	}
-	for k := range wins {
-		start := wins[k].start
-		for pos < start && !halted {
+	// runTo steps to instruction target or the halt, handing on full
+	// batches; end hands on the current batch, ending it with flag.
+	runTo := func(target int64) error {
+		for pos < target && !halted {
 			var steps int64
-			b.events, steps, halted = arch.RunEvents(prog, start-pos, b.events)
+			b.events, steps, halted = arch.RunEvents(prog, target-pos, b.events)
 			pos += steps
 			if len(b.events) == cap(b.events) {
 				if b, err = warm.handOff(ctx, b); err != nil {
-					return pos, false, stopped(err)
+					return err
 				}
 			}
+		}
+		return nil
+	}
+	end := func(flag *bool) error {
+		*flag = true
+		b, err = warm.handOff(ctx, b)
+		return err
+	}
+	for k := range wins {
+		w := &wins[k]
+		if err := runTo(w.start); err != nil {
+			return pos, false, stopped(err)
 		}
 		if halted {
 			break
 		}
-		wins[k].ckpt = arch.Checkpoint(pos)
-		b.mark = true
-		if b, err = warm.handOff(ctx, b); err != nil {
+		w.ckpt = arch.Checkpoint(pos)
+		if err := end(&b.mark); err != nil {
+			return pos, false, stopped(err)
+		}
+		// The last window becomes ready when the fast-forward ends, and
+		// warming needs no event past its start.
+		if k == len(wins)-1 {
+			break
+		}
+		if err := runTo(w.start + w.warmup + w.measure); err != nil {
+			return pos, false, stopped(err)
+		}
+		if halted {
+			break
+		}
+		if err := end(&b.ready); err != nil {
 			return pos, false, stopped(err)
 		}
 	}

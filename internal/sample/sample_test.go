@@ -371,7 +371,7 @@ func BenchmarkRun(b *testing.B) {
 		image *isa.Memory
 	}
 	var inputs []input
-	for _, name := range []string{"mcf", "gcc", "leela", "soplex", "h264ref", "lammps", "xz", "omnetpp"} {
+	for _, name := range sampledLong {
 		prog, image := buildWorkload(b, name)
 		inputs = append(inputs, input{prog, image})
 	}
