@@ -70,8 +70,15 @@ func historyPush(h uint64, pc uint64, taken bool) uint64 {
 }
 
 // mix hashes a pc with a masked history for table indexing.
-func mix(pc, hist uint64, bits uint) uint32 {
-	x := pc*0x9E3779B97F4A7C15 ^ hist*0xC2B2AE3D27D4EB4F
+func mix(pc, hist uint64, bits uint) uint32 { return mixProd(pc*mixPCMul, hist, bits) }
+
+// mixPCMul is mix's pc multiplier.
+const mixPCMul = 0x9E3779B97F4A7C15
+
+// mixProd is mix with the pc's product, pc*mixPCMul, already taken: TAGE
+// hashes one pc against every table's history.
+func mixProd(pcProd, hist uint64, bits uint) uint32 {
+	x := pcProd ^ hist*0xC2B2AE3D27D4EB4F
 	x ^= x >> 29
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 32

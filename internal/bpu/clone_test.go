@@ -131,9 +131,14 @@ func TestTAGETagAliasing(t *testing.T) {
 	tg := NewTAGE(DefaultTAGEConfig())
 	const table = 0
 	const pc1 = 0x40
+	slot := func(pc uint64) (uint32, uint16) {
+		p := tg.Predict(pc, false)
+		return p.indices[table], p.tags[table]
+	}
+	idx1, tag1 := slot(pc1)
 	var pc2 uint64
 	for pc := uint64(pc1 + 1); pc < pc1+1<<24; pc++ {
-		if tg.index(pc, table) == tg.index(pc1, table) && tg.tag(pc, table) == tg.tag(pc1, table) {
+		if idx, tag := slot(pc); idx == idx1 && tag == tag1 {
 			pc2 = pc
 			break
 		}
@@ -144,7 +149,7 @@ func TestTAGETagAliasing(t *testing.T) {
 
 	// Install a confident taken provider entry for pc1 (white-box: this is
 	// what repeated mispredict-allocate-train converges to).
-	tg.entries[table][tg.index(pc1, table)] = tageEntry{tag: tg.tag(pc1, table), ctr: 3, u: 1}
+	tg.entries[table][idx1] = tageEntry{tag: tag1, ctr: 3, u: 1}
 	if !tg.Predict(pc1, false).Taken {
 		t.Fatal("installed provider entry does not provide for pc1")
 	}

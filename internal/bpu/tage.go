@@ -12,10 +12,10 @@ type TAGE struct {
 	baseBits uint
 	base     []int8 // 2-bit counters
 
-	nTables  int
-	tblBits  uint
-	histLens [maxTables]uint
-	entries  [][]tageEntry
+	nTables   int
+	tblBits   uint
+	histMasks [maxTables]uint64 // each table's history mask (its length's low bits)
+	entries   [][]tageEntry
 
 	hist       uint64
 	useAltOnNA int8 // simplified USE_ALT_ON_NA counter
@@ -64,7 +64,7 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 		if hl > 64 {
 			hl = 64
 		}
-		t.histLens[i] = hl
+		t.histMasks[i] = histMask(hl)
 		t.entries = append(t.entries, make([]tageEntry, 1<<cfg.TableBits))
 	}
 	return t
@@ -80,15 +80,15 @@ func histMask(bits uint) uint64 {
 	return (1 << bits) - 1
 }
 
-func (t *TAGE) index(pc uint64, table int) uint32 {
-	return mix(pc, t.hist&histMask(t.histLens[table]), t.tblBits)
-}
+// tagPCMul is the tag hash's pc multiplier.
+const tagPCMul = 0xA24BAED4963EE407
 
-func (t *TAGE) tag(pc uint64, table int) uint16 {
-	h := t.hist & histMask(t.histLens[table])
-	x := pc*0xA24BAED4963EE407 ^ h*0x9FB21C651E98DF25 ^ uint64(table)*0x8FB3
+// tagHash is a table's 11-bit tag for the pc whose product pc*tagPCMul is
+// pcProd, under the masked history h.
+func tagHash(pcProd, h uint64, table int) uint16 {
+	x := pcProd ^ h*0x9FB21C651E98DF25 ^ uint64(table)*0x8FB3
 	x ^= x >> 31
-	return uint16(x) & 0x7FF // 11-bit tags
+	return uint16(x) & 0x7FF
 }
 
 func (t *TAGE) nextRand() uint64 {
@@ -107,15 +107,18 @@ func (t *TAGE) Predict(pc uint64, _ bool) (p Prediction) {
 // lookup overwrites p with the prediction for the branch at pc: the
 // table indices and tags under the current history, the provider and
 // alternate components, the direction and its confidence. Predict and the
-// warm path share it, so TAGE's lookup exists once.
+// warm path share it, so TAGE's lookup exists once. pc's two hash
+// products are the same for every table, so they are taken once.
 func (t *TAGE) lookup(pc uint64, p *Prediction) {
-	*p = Prediction{Hist: t.hist, provider: -1, baseIdx: mix(pc, 0, t.baseBits)}
+	pcIdx, pcTag := pc*mixPCMul, pc*tagPCMul
+	*p = Prediction{Hist: t.hist, provider: -1, baseIdx: mixProd(pcIdx, 0, t.baseBits)}
 	baseTaken := t.base[p.baseIdx] >= 2
 
 	provider, alt := -1, -1
 	for i := 0; i < t.nTables; i++ {
-		p.indices[i] = t.index(pc, i)
-		p.tags[i] = t.tag(pc, i)
+		h := t.hist & t.histMasks[i]
+		p.indices[i] = mixProd(pcIdx, h, t.tblBits)
+		p.tags[i] = tagHash(pcTag, h, i)
 		if t.entries[i][p.indices[i]].tag == p.tags[i] {
 			alt = provider
 			provider = i

@@ -1,7 +1,5 @@
 package isa
 
-import "fmt"
-
 // Checkpoint is a cheap architectural snapshot of the functional emulator:
 // the complete register file, the program counter, a copy-on-write memory
 // snapshot, and the number of instructions retired to reach it. It is
@@ -21,14 +19,9 @@ type Checkpoint struct {
 // Checkpoint captures the state's architectural snapshot. retired is the
 // instruction count the caller has executed to reach this state; it rides
 // along so window schedulers can place the checkpoint on the instruction
-// axis. The state must be backed by a *Memory (the concrete sparse memory),
-// not an arbitrary Mem implementation.
+// axis.
 func (s *ArchState) Checkpoint(retired int64) *Checkpoint {
-	m, ok := s.Mem.(*Memory)
-	if !ok {
-		panic(fmt.Sprintf("isa: Checkpoint needs *Memory-backed state, have %T", s.Mem))
-	}
-	return &Checkpoint{PC: s.PC, Regs: s.Regs, Mem: m.CloneCOW(), Retired: retired}
+	return &Checkpoint{PC: s.PC, Regs: s.Regs, Mem: s.Mem.CloneCOW(), Retired: retired}
 }
 
 // Restore returns a fresh ArchState positioned at the checkpoint. The

@@ -5,17 +5,11 @@ import (
 	"sort"
 )
 
-// Mem is the functional-memory interface: whole 64-bit words addressed by
-// byte address (the low three address bits are ignored by implementations;
-// the timing model uses full byte addresses for cache indexing).
-type Mem interface {
-	Load(addr int64) int64
-	Store(addr, val int64)
-}
-
-// Memory is a sparse, word-addressed functional memory. Snapshots taken
-// with CloneCOW share pages copy-on-write, so checkpointing a multi-MB
-// image costs one map copy instead of a byte copy.
+// Memory is a sparse functional memory of whole 64-bit words addressed by
+// byte address (the low three address bits are ignored; the timing model
+// uses full byte addresses for cache indexing). Snapshots taken with
+// CloneCOW share pages copy-on-write, so checkpointing a multi-MB image
+// costs one map copy instead of a byte copy.
 type Memory struct {
 	pages map[int64]*[pageWords]int64
 	// owned tracks the pages this memory may write in place. nil means
@@ -162,71 +156,16 @@ func (m *Memory) DiffWords(o *Memory, max int) []MemDiff {
 	return out
 }
 
-// Overlay is a copy-on-write view over a base memory. Reads consult the
-// overlay's private writes first; Commit applies them to the base. The
-// fetch engine uses it to scan ahead speculatively (e.g. to locate an ACB
-// reconvergence point on the architecturally-correct path) without
-// disturbing the oracle state until the scan is known to succeed.
-type Overlay struct {
-	base   Mem
-	writes map[int64]int64
-}
-
-// NewOverlay returns an overlay over base with no private writes.
-func NewOverlay(base Mem) *Overlay {
-	return &Overlay{base: base, writes: make(map[int64]int64)}
-}
-
-// Load implements Mem.
-func (o *Overlay) Load(addr int64) int64 {
-	if v, ok := o.writes[addr&^7]; ok {
-		return v
-	}
-	return o.base.Load(addr)
-}
-
-// Store implements Mem.
-func (o *Overlay) Store(addr, val int64) { o.writes[addr&^7] = val }
-
-// Commit applies the overlay's private writes to the base memory.
-func (o *Overlay) Commit() {
-	for a, v := range o.writes {
-		o.base.Store(a, v)
-	}
-	o.writes = make(map[int64]int64)
-}
-
-// Discard drops the overlay's private writes.
-func (o *Overlay) Discard() { o.writes = make(map[int64]int64) }
-
-// SnapshotWrites returns a copy of the overlay's private writes.
-func (o *Overlay) SnapshotWrites() map[int64]int64 {
-	cp := make(map[int64]int64, len(o.writes))
-	for a, v := range o.writes {
-		cp[a] = v
-	}
-	return cp
-}
-
-// RestoreWrites replaces the overlay's private writes with w (which the
-// overlay takes ownership of).
-func (o *Overlay) RestoreWrites(w map[int64]int64) {
-	if w == nil {
-		w = make(map[int64]int64)
-	}
-	o.writes = w
-}
-
 // ArchState is the complete architectural state of the machine.
 type ArchState struct {
 	PC   int
 	Regs [NumRegs]int64
-	Mem  Mem
+	Mem  *Memory
 }
 
 // NewArchState returns a reset architectural state with the given memory
 // image (nil allocates an empty memory).
-func NewArchState(mem Mem) *ArchState {
+func NewArchState(mem *Memory) *ArchState {
 	if mem == nil {
 		mem = NewMemory()
 	}
@@ -273,12 +212,9 @@ func (s *ArchState) Run(prog []Instruction, maxSteps int64) (steps int64, halted
 // panics on an out-of-range PC; the registers are reached through a local
 // pointer (a local copy of the register file ran the loop no faster and
 // doubled the cost of Step, which copied it in and out on every call).
-// When the state's memory is a *Memory the loop calls it directly, not
-// through Mem.
 func (s *ArchState) exec(prog []Instruction, maxSteps int64, events []Event, record bool,
 	res *StepResult) (_ []Event, steps int64, halted bool) {
-	pc, regs := s.PC, &s.Regs
-	m, _ := s.Mem.(*Memory)
+	pc, regs, m := s.PC, &s.Regs, s.Mem
 	for steps < maxSteps {
 		limit := maxSteps
 		if record {
@@ -302,22 +238,14 @@ func (s *ArchState) exec(prog []Instruction, maxSteps int64, events []Event, rec
 			switch in.Op {
 			case Load:
 				addr = regs[in.Rs1] + in.Imm
-				if m != nil {
-					val = m.Load(addr)
-				} else {
-					val = s.Mem.Load(addr)
-				}
+				val = m.Load(addr)
 				regs[in.Rd] = val
 				if record {
 					events = append(events, Event{Addr: addr, Op: Load})
 				}
 			case Store:
 				addr, val = regs[in.Rs1]+in.Imm, regs[in.Rs2]
-				if m != nil {
-					m.Store(addr, val)
-				} else {
-					s.Mem.Store(addr, val)
-				}
+				m.Store(addr, val)
 				if record {
 					events = append(events, Event{Addr: addr, Op: Store})
 				}

@@ -61,40 +61,6 @@ func TestMemoryClone(t *testing.T) {
 	}
 }
 
-func TestOverlay(t *testing.T) {
-	base := NewMemory()
-	base.Store(0, 10)
-	ov := NewOverlay(base)
-	if ov.Load(0) != 10 {
-		t.Fatal("overlay must read through")
-	}
-	ov.Store(0, 20)
-	ov.Store(64, 30)
-	if ov.Load(0) != 20 || ov.Load(64) != 30 {
-		t.Fatal("overlay writes not visible")
-	}
-	if base.Load(0) != 10 || base.Load(64) != 0 {
-		t.Fatal("overlay leaked to base before commit")
-	}
-
-	snap := ov.SnapshotWrites()
-	ov.Store(0, 99)
-	ov.RestoreWrites(snap)
-	if ov.Load(0) != 20 {
-		t.Fatal("restore did not rewind writes")
-	}
-
-	ov.Commit()
-	if base.Load(0) != 20 || base.Load(64) != 30 {
-		t.Fatal("commit did not apply")
-	}
-	ov.Store(8, 1)
-	ov.Discard()
-	if ov.Load(8) != 0 {
-		t.Fatal("discard did not drop writes")
-	}
-}
-
 func TestStepArithmeticAndControl(t *testing.T) {
 	prog := []Instruction{
 		{Op: MovI, Rd: R1, Imm: 5},

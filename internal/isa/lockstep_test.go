@@ -12,20 +12,11 @@ import (
 )
 
 // newState returns a state at PC 0 with the registers regs over a copy of
-// image: the copy itself, or an Overlay over it. final returns the memory
-// the state's stores reached, committing an Overlay's writes first; call
-// it once, when the state is done.
-func newState(image *isa.Memory, regs [isa.NumRegs]int64, overlay bool) (st *isa.ArchState, final func() *isa.Memory) {
-	base := image.Clone()
-	if !overlay {
-		st = isa.NewArchState(base)
-		st.Regs = regs
-		return st, func() *isa.Memory { return base }
-	}
-	ov := isa.NewOverlay(base)
-	st = isa.NewArchState(ov)
+// image.
+func newState(image *isa.Memory, regs [isa.NumRegs]int64) *isa.ArchState {
+	st := isa.NewArchState(image.Clone())
 	st.Regs = regs
-	return st, func() *isa.Memory { ov.Commit(); return base }
+	return st
 }
 
 // checkLockstep runs prog from PC 0, the registers regs and a copy of
@@ -38,10 +29,9 @@ func newState(image *isa.Memory, regs [isa.NumRegs]int64, overlay bool) (st *isa
 // events of RunEvents cut into batches of 1, 7 and 1024. It returns the
 // reference's StepResults.
 func checkLockstep(t testing.TB, p []isa.Instruction, image *isa.Memory, regs [isa.NumRegs]int64,
-	maxSteps int64, overlay bool) []isa.StepResult {
+	maxSteps int64) []isa.StepResult {
 	t.Helper()
-	ref, refFinal := newState(image, regs, overlay)
-	st, stFinal := newState(image, regs, overlay)
+	ref, st := newState(image, regs), newState(image, regs)
 	var want []isa.StepResult
 	var wantEvents []isa.Event
 	halted := false
@@ -63,12 +53,11 @@ func checkLockstep(t testing.TB, p []isa.Instruction, image *isa.Memory, regs [i
 		}
 	}
 	steps := int64(len(want))
-	refMem := refFinal()
-	if d := stFinal().DiffWords(refMem, 1); len(d) > 0 {
+	if d := st.Mem.DiffWords(ref.Mem, 1); len(d) > 0 {
 		t.Fatalf("Step: memory differs from the reference's: %+v", d[0])
 	}
 
-	checkEnd := func(name string, s *isa.ArchState, final func() *isa.Memory, n int64, h bool) {
+	checkEnd := func(name string, s *isa.ArchState, n int64, h bool) {
 		t.Helper()
 		if n != steps || h != halted {
 			t.Fatalf("%s = (%d steps, halted %v), the reference (%d, %v)", name, n, h, steps, halted)
@@ -76,12 +65,12 @@ func checkLockstep(t testing.TB, p []isa.Instruction, image *isa.Memory, regs [i
 		if s.PC != ref.PC || s.Regs != ref.Regs {
 			t.Fatalf("%s ended at pc %d, regs %v; the reference at pc %d, regs %v", name, s.PC, s.Regs, ref.PC, ref.Regs)
 		}
-		if d := final().DiffWords(refMem, 1); len(d) > 0 {
+		if d := s.Mem.DiffWords(ref.Mem, 1); len(d) > 0 {
 			t.Fatalf("%s: memory differs from the reference's: %+v", name, d[0])
 		}
 	}
 
-	hs, hsFinal := newState(image, regs, overlay)
+	hs := newState(image, regs)
 	var first *isa.StepResult
 	i := 0
 	n, h := hs.RunHooked(p, maxSteps, func(res *isa.StepResult) {
@@ -95,14 +84,14 @@ func checkLockstep(t testing.TB, p []isa.Instruction, image *isa.Memory, regs [i
 		}
 		i++
 	})
-	checkEnd("RunHooked", hs, hsFinal, n, h)
+	checkEnd("RunHooked", hs, n, h)
 
-	rs, rsFinal := newState(image, regs, overlay)
+	rs := newState(image, regs)
 	n, h = rs.Run(p, maxSteps)
-	checkEnd("Run", rs, rsFinal, n, h)
+	checkEnd("Run", rs, n, h)
 
 	for _, size := range []int{1, 7, 1024} {
-		es, esFinal := newState(image, regs, overlay)
+		es := newState(image, regs)
 		batch := make([]isa.Event, 0, size)
 		var got []isa.Event
 		var n int64
@@ -120,7 +109,7 @@ func checkLockstep(t testing.TB, p []isa.Instruction, image *isa.Memory, regs [i
 			got = append(got, batch...)
 		}
 		name := fmt.Sprintf("RunEvents in batches of %d", size)
-		checkEnd(name, es, esFinal, n, h)
+		checkEnd(name, es, n, h)
 		if len(got) != len(wantEvents) {
 			t.Fatalf("%s: %d events, the reference %d", name, len(got), len(wantEvents))
 		}
@@ -134,15 +123,13 @@ func checkLockstep(t testing.TB, p []isa.Instruction, image *isa.Memory, regs [i
 }
 
 // TestLockstepWorkloads runs every suite workload's first 200k
-// instructions through the execution loop and the reference, over a
-// *Memory and over an Overlay.
+// instructions through the execution loop and the reference.
 func TestLockstepWorkloads(t *testing.T) {
 	for _, w := range workload.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			p, image := w.Build()
-			checkLockstep(t, p, image, [isa.NumRegs]int64{}, 200_000, false)
-			checkLockstep(t, p, image, [isa.NumRegs]int64{}, 20_000, true)
+			checkLockstep(t, p, image, [isa.NumRegs]int64{}, 200_000)
 		})
 	}
 }
@@ -210,32 +197,29 @@ func allOpsProgram() []isa.Instruction {
 }
 
 // TestLockstepAllOps runs allOpsProgram through the execution loop and the
-// reference, over a *Memory and over an Overlay, and checks that it
-// executed every Op and every Cond both ways.
+// reference, and checks that it executed every Op and every Cond both
+// ways.
 func TestLockstepAllOps(t *testing.T) {
-	p := allOpsProgram()
-	for _, overlay := range []bool{false, true} {
-		want := checkLockstep(t, p, isa.NewMemory(), [isa.NumRegs]int64{}, 10_000, overlay)
-		if !want[len(want)-1].Halted {
-			t.Fatalf("overlay %v: the program did not halt", overlay)
+	want := checkLockstep(t, allOpsProgram(), isa.NewMemory(), [isa.NumRegs]int64{}, 10_000)
+	if !want[len(want)-1].Halted {
+		t.Fatalf("the program did not halt")
+	}
+	ops := map[isa.Op]bool{}
+	conds := map[[2]int]bool{} // {cond, taken}
+	for _, r := range want {
+		ops[r.Inst.Op] = true
+		if r.Inst.Op == isa.Br {
+			conds[[2]int{int(r.Inst.Cond), int(btoi(r.Taken))}] = true
 		}
-		ops := map[isa.Op]bool{}
-		conds := map[[2]int]bool{} // {cond, taken}
-		for _, r := range want {
-			ops[r.Inst.Op] = true
-			if r.Inst.Op == isa.Br {
-				conds[[2]int{int(r.Inst.Cond), int(btoi(r.Taken))}] = true
-			}
+	}
+	for op := isa.Nop; op <= isa.Halt; op++ {
+		if !ops[op] {
+			t.Errorf("%v never executed", op)
 		}
-		for op := isa.Nop; op <= isa.Halt; op++ {
-			if !ops[op] {
-				t.Errorf("overlay %v: %v never executed", overlay, op)
-			}
-		}
-		for c := isa.EQZ; c <= isa.GER; c++ {
-			if !conds[[2]int{int(c), 0}] || !conds[[2]int{int(c), 1}] {
-				t.Errorf("overlay %v: %v not executed both taken and not taken", overlay, c)
-			}
+	}
+	for c := isa.EQZ; c <= isa.GER; c++ {
+		if !conds[[2]int{int(c), 0}] || !conds[[2]int{int(c), 1}] {
+			t.Errorf("%v not executed both taken and not taken", c)
 		}
 	}
 }
@@ -291,14 +275,14 @@ func rawProgram(seed uint64, code []byte) ([]isa.Instruction, [isa.NumRegs]int64
 }
 
 // FuzzInterpreter runs fuzz-derived programs under a step cap through the
-// execution loop and the reference interpreter (checkLockstep), over a
-// *Memory or an Overlay, and fails on any difference. With no code bytes
+// execution loop and the reference interpreter (checkLockstep), and fails
+// on any difference. With no code bytes
 // the program is difftest.Generate's for the seed; otherwise the bytes
 // decode into a raw program (rawProgram), capped at fewer steps because
 // its stores may each touch a new page.
 func FuzzInterpreter(f *testing.F) {
-	f.Add(uint64(1), []byte(nil), false)
-	f.Add(uint64(42), []byte(nil), true)
+	f.Add(uint64(1), []byte(nil))
+	f.Add(uint64(42), []byte(nil))
 	f.Add(uint64(7), []byte{
 		byte(isa.MovI), 0, 1, 0, 0, 0x80 | 9, 0, // r1 = MinInt64
 		byte(isa.MovI), 0, 2, 0, 0, 0x80 | 2, 0, // r2 = -1
@@ -307,17 +291,17 @@ func FuzzInterpreter(f *testing.F) {
 		byte(isa.Store), 0, 0, 2, 3, 0x80 | 7, 0,
 		byte(isa.Load), 0, 5, 2, 0, 0x80 | 7, 0,
 		byte(isa.Br), byte(isa.LTR), 0, 2, 5, 0, 0,
-	}, true)
-	f.Fuzz(func(t *testing.T, seed uint64, code []byte, overlay bool) {
+	})
+	f.Fuzz(func(t *testing.T, seed uint64, code []byte) {
 		if len(code) == 0 {
 			asm, err := difftest.Assemble(difftest.Generate(seed, difftest.DefaultGenConfig()))
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			checkLockstep(t, asm.Insts, asm.Mem, [isa.NumRegs]int64{}, asm.StepBound, overlay)
+			checkLockstep(t, asm.Insts, asm.Mem, [isa.NumRegs]int64{}, asm.StepBound)
 			return
 		}
 		p, regs := rawProgram(seed, code)
-		checkLockstep(t, p, isa.NewMemory(), regs, 2_000, overlay)
+		checkLockstep(t, p, isa.NewMemory(), regs, 2_000)
 	})
 }

@@ -18,8 +18,9 @@ import (
 
 // NewFromCheckpoint builds a core whose architectural state — registers,
 // memory, PC — starts at ckpt instead of the program's entry. The
-// functional oracle and the committed image are copy-on-write snapshots of
-// the checkpoint's memory, so the caller may reuse ckpt freely (including
+// correct-path emulator's memory and the committed image are both
+// copy-on-write snapshots of the checkpoint's memory
+// (isa.Memory.CloneCOW), so the caller may reuse ckpt freely (including
 // for concurrent window jobs). The core takes hier as its data-cache
 // hierarchy (nil = a fresh, cold one): sampled simulation passes a clone
 // of the hierarchy it warmed over the fast-forwarded region
@@ -30,8 +31,9 @@ import (
 func NewFromCheckpoint(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme,
 	ckpt *isa.Checkpoint, hier *mem.Hierarchy) *Core {
 	c := newCore(cfg, program, predictor, scheme, hier, ckpt.Mem.CloneCOW(), ckpt.Mem.CloneCOW())
-	c.oracle.PC = ckpt.PC
-	c.oracle.Regs = ckpt.Regs
+	c.emu.PC = ckpt.PC
+	c.emu.Regs = ckpt.Regs
+	c.cur.pc = ckpt.PC
 	c.fetchPC = ckpt.PC
 	// The initial RAT maps logical register r to physical register r
 	// (newCore); seeding those physical registers makes the checkpointed

@@ -59,15 +59,6 @@ type fetchedInst struct {
 // identity avoids a heap allocation per mispredicted fetch.
 type flushToken uint64
 
-// oracleSnap snapshots the functional oracle at a predication-context
-// open, so a divergent context can rewind it.
-type oracleSnap struct {
-	ctx  *ctxState
-	regs [isa.NumRegs]int64
-	pc   int
-	mem  map[int64]int64
-}
-
 // selectSpec is a pending select micro-op awaiting an allocation slot.
 type selectSpec struct {
 	ctx   *ctxState
@@ -157,8 +148,11 @@ type Core struct {
 	// the list (in the waitRecs arena, free records chained from waitFree)
 	// of those waiting on p, completeStage moves them to woken when p
 	// becomes ready, and issueStage merges woken back into iq, writing the
-	// survivors to iqSpare and swapping the two. nParked counts the
-	// entries on waiter lists or in woken; they still hold IQ slots.
+	// survivors to iqSpare and swapping the two. Stall-mode bodies renamed
+	// before their branch resolves wait the same way on their context's
+	// gate (ctxState.gate), which resolveBranch moves to woken. nParked
+	// counts the entries on waiter lists, on gates or in woken; they still
+	// hold IQ slots.
 	iq       []*robEntry
 	iqSpare  []*robEntry
 	waitHead []int32
@@ -195,7 +189,7 @@ type Core struct {
 	ctxPhase     int // 1 or 2
 	ctxNext      int // next PC to fetch inside the context
 	ctxWalkTaken bool
-	ctxTrueIdx   int
+	walk         pathCursor // on the open context's true path
 	ctxD2Start   int
 	pendingClose *ctxState
 	pendingSwtch bool
@@ -203,12 +197,22 @@ type Core struct {
 
 	liveCtxs []*ctxState
 
-	// Functional oracle (architecturally-correct execution running ahead
-	// of timing at fetch).
-	oracle       *isa.ArchState
-	oracleMem    *isa.Overlay
-	oracleHalted bool
-	snapshots    []oracleSnap
+	// Correct path (path.go). cur is the next correct-path instruction
+	// fetch expects, pathHalted set once fetch took the correct path's
+	// Halt, and snapshots holds cur at each live correct-path context's
+	// branch, oldest first. emu runs emuProg ahead of fetch over the
+	// program's image and appends the correct path's branch outcomes to
+	// outcomes, whose first element is outcome outBase; events is its
+	// reused RunEvents batch, and emuDone is set once it halted.
+	cur        pathCursor
+	pathHalted bool
+	snapshots  []pathSnap
+	emu        *isa.ArchState
+	emuProg    []isa.Instruction
+	emuDone    bool
+	events     []isa.Event
+	outcomes   []bool
+	outBase    int64
 
 	// commitMem is the retired (architectural) memory: stores write it at
 	// commit, loads read it beneath store-queue forwarding.
@@ -234,12 +238,11 @@ type Core struct {
 	// progress is reset each cycle and set by any stage that changes
 	// machine state; a cycle that ends with it clear is quiescent and the
 	// run loop may jump to the next completion/fetch-ready watermark (see
-	// nextEventCycle). stallSlotsThisCycle and stallCtxScratch record the
-	// per-cycle stat increments a stalled-but-quiescent cycle repeats, so
-	// skipping replays them exactly.
+	// nextEventCycle). stallSlotsThisCycle records the rename stall slots
+	// a stalled-but-quiescent cycle repeats, so skipping replays them
+	// exactly.
 	progress            bool
 	stallSlotsThisCycle int64
-	stallCtxScratch     []*ctxState
 
 	cycle    int64
 	retired  int64
@@ -339,18 +342,20 @@ func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, sc
 	return newCore(cfg, program, predictor, scheme, nil, isa.NewMemory(), nil)
 }
 
-// NewWithMemory is New with an initial memory image. The oracle receives a
-// private clone (it runs ahead of retirement); the committed memory keeps
-// the original. Callers must not reuse the image afterwards.
+// NewWithMemory is New with an initial memory image. The emulator that
+// produces the correct path's branch outcomes runs ahead of retirement
+// over a copy-on-write snapshot of the image (isa.Memory.CloneCOW), so
+// only the pages either side writes are copied; the committed memory
+// keeps the original. Callers must not reuse the image afterwards.
 func NewWithMemory(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, image *isa.Memory) *Core {
-	return newCore(cfg, program, predictor, scheme, nil, image.Clone(), image)
+	return newCore(cfg, program, predictor, scheme, nil, image.CloneCOW(), image)
 }
 
 // newCore builds every core: hier is its data-cache hierarchy (nil = a
-// fresh one), oracleMem the functional oracle's memory, and commitMem the
-// committed image (nil = an empty one, made when the core first runs).
+// fresh one), emuMem the correct-path emulator's memory, and commitMem
+// the committed image (nil = an empty one, made when the core first runs).
 func newCore(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme,
-	hier *mem.Hierarchy, oracleMem, commitMem *isa.Memory) *Core {
+	hier *mem.Hierarchy, emuMem, commitMem *isa.Memory) *Core {
 	if hier == nil {
 		hier = mem.NewHierarchy(cfg.Mem)
 	}
@@ -401,8 +406,10 @@ func newCore(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor
 		c.waitRecs[n].next = c.waitFree
 		c.waitFree = int32(n)
 	}
-	c.oracleMem = isa.NewOverlay(oracleMem)
-	c.oracle = isa.NewArchState(c.oracleMem)
+	c.emu = isa.NewArchState(emuMem)
+	c.emuProg = guardExits(program)
+	c.events = make([]isa.Event, 0, outBatch)
+	c.outcomes = make([]bool, 0, outBatch)
 	c.commitMem = commitMem
 	return c
 }
@@ -478,7 +485,6 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 		c.cycle++
 		c.progress = false
 		c.stallSlotsThisCycle = 0
-		c.stallCtxScratch = c.stallCtxScratch[:0]
 		h := c.stepCycle()
 		if h {
 			halted = true
@@ -506,9 +512,9 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 // (idempotent) work every cycle until the next scheduled completion or the
 // fetch queue's head becomes ready. Jumping there directly is
 // cycle-accurate as long as the per-cycle stat increments a stalled cycle
-// performs — rename allocation-stall slots and gated body-wakeup counts —
-// are replayed once per skipped cycle, which is exactly what the
-// stallSlotsThisCycle / stallCtxScratch records are for. The CPI stack's
+// performs are replayed once per skipped cycle: the rename allocation-stall
+// slots stallSlotsThisCycle recorded, and one stall per gated body (a
+// quiescent cycle issued nothing, so no issue cap held). The CPI stack's
 // classification reads only commits, the ROB head and its context flags,
 // and the flush cause, none of which a quiescent cycle changes, so every
 // skipped cycle goes to the bucket the cycle before it was charged.
@@ -521,8 +527,8 @@ func (c *Core) skipToNextEvent() {
 	if c.stallSlotsThisCycle > 0 {
 		c.s.allocStallSlots += skipped * c.stallSlotsThisCycle
 	}
-	for _, sc := range c.stallCtxScratch {
-		sc.bodyStalls += skipped
+	for _, ctx := range c.liveCtxs {
+		ctx.bodyStalls += skipped * int64(ctx.gated)
 	}
 	if c.cpi != nil {
 		c.cpi.charge(c.cpi.last, skipped)

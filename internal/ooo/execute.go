@@ -37,7 +37,7 @@ func (c *Core) completeStage() {
 		e.done = true
 		if e.dest >= 0 {
 			c.prf[e.dest] = prfEntry{val: e.result, ready: true}
-			c.wake(e.dest)
+			c.wake(&c.waitHead[e.dest])
 		}
 		if e.role == RoleSelect {
 			continue
@@ -57,6 +57,9 @@ func (c *Core) resolveBranch(e *robEntry) {
 		ctx := e.ctx
 		ctx.branchDone = true
 		ctx.branchTaken = e.resolvedTaken
+		// Open the gate: the bodies waiting on it join this cycle's scan.
+		c.wake(&ctx.gate)
+		ctx.gated = 0
 		c.invalidateFalseMemOps(ctx)
 		if ctx.diverged && !ctx.flushedDiv {
 			c.divergenceFlush(e)
@@ -95,8 +98,8 @@ func (c *Core) resolveBranch(e *robEntry) {
 				}
 				c.onWrongPath = false
 				c.wrongTok = 0
-				if !c.oracleHalted && c.oracle.PC != c.fetchPC {
-					panic(fmt.Sprintf("ooo: oracle desync after flush: oracle=%d fetch=%d", c.oracle.PC, c.fetchPC))
+				if !c.pathHalted && c.cur.pc != c.fetchPC {
+					panic(fmt.Sprintf("ooo: oracle desync after flush: oracle=%d fetch=%d", c.cur.pc, c.fetchPC))
 				}
 			}
 		}
@@ -135,12 +138,14 @@ func (c *Core) divergenceFlush(e *robEntry) {
 	ctx.reconHint = -1
 	// Multiple-reconvergence feedback: the first correct-path PC beyond
 	// the learned reconvergence point is where this instance actually
-	// re-joined (program order), available from the oracle scan.
-	for _, pc := range ctx.truePath {
-		if pc > ctx.spec.ReconPC {
-			ctx.reconHint = pc
+	// re-joined (program order), found on the scanned true path.
+	p := ctx.trueStart
+	for i := 0; i < ctx.trueLen; i++ {
+		if p.pc > ctx.spec.ReconPC {
+			ctx.reconHint = p.pc
 			break
 		}
+		c.step(&p)
 	}
 	c.s.divFlushes++
 	target := e.pc + 1
@@ -162,8 +167,8 @@ func (c *Core) divergenceFlush(e *robEntry) {
 		c.pred.PushHistory(uint64(e.pc), e.resolvedTaken)
 	}
 
-	// Oracle rewind for correct-path contexts: restore the snapshot taken
-	// at context open and step just the branch.
+	// Correct-path rewind: restore the cursor saved at context open and
+	// step just the branch.
 	if ctx.trueKnown {
 		idx := -1
 		for i, sn := range c.snapshots {
@@ -175,15 +180,12 @@ func (c *Core) divergenceFlush(e *robEntry) {
 		if idx < 0 {
 			panic("ooo: missing oracle snapshot for divergent context")
 		}
-		sn := c.snapshots[idx]
+		c.cur = c.snapshots[idx].cur
 		c.snapshots = c.snapshots[:idx]
-		c.oracle.Regs = sn.regs
-		c.oracle.PC = sn.pc
-		c.oracleMem.RestoreWrites(sn.mem)
-		c.oracle.Step(c.prog) // the branch itself
-		c.oracleHalted = false
-		if c.oracle.PC != target {
-			panic(fmt.Sprintf("ooo: divergence redirect mismatch: oracle=%d target=%d", c.oracle.PC, target))
+		c.step(&c.cur) // the branch itself
+		c.pathHalted = false
+		if c.cur.pc != target {
+			panic(fmt.Sprintf("ooo: divergence redirect mismatch: oracle=%d target=%d", c.cur.pc, target))
 		}
 	}
 	if c.wrongTok == ctx.tok && ctx.tok != 0 {
@@ -199,7 +201,7 @@ func (c *Core) divergenceFlush(e *robEntry) {
 // e's checkpoint, clears the front end and redirects fetch.
 func (c *Core) flushAfter(e *robEntry, redirectPC int) {
 	if c.dbgRing != nil {
-		c.dbgLog("flush at seq=%d pc=%d role=%d redirect=%d oracle=%d wrong=%v", e.seq, e.pc, e.role, redirectPC, c.oracle.PC, c.onWrongPath)
+		c.dbgLog("flush at seq=%d pc=%d role=%d redirect=%d oracle=%d wrong=%v", e.seq, e.pc, e.role, redirectPC, c.cur.pc, c.onWrongPath)
 	}
 	c.s.flushes++
 	if !e.hasCkpt {
@@ -209,7 +211,7 @@ func (c *Core) flushAfter(e *robEntry, redirectPC int) {
 		if se.dest >= 0 {
 			c.freeList = append(c.freeList, se.dest)
 		}
-		if se.waitPhys >= 0 {
+		if se.waitPhys != -1 {
 			c.unpark(se)
 		}
 	})
@@ -238,7 +240,7 @@ func (c *Core) flushAfter(e *robEntry, redirectPC int) {
 		c.fetchParked = true
 	}
 
-	// Prune contexts and oracle snapshots younger than the flush point.
+	// Prune contexts and path snapshots younger than the flush point.
 	live := c.liveCtxs[:0]
 	for _, ctx := range c.liveCtxs {
 		if ctx != e.ctx && (ctx.branchSeq < 0 || ctx.branchSeq > e.seq) {

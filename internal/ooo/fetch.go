@@ -73,11 +73,11 @@ func (c *Core) fetchNormalSlot() (consumed, stop bool) {
 	}
 	inst := &c.prog[pc]
 	fi := c.newFetched(pc, inst)
-	trueKnown := !c.onWrongPath && !c.oracleHalted
+	trueKnown := !c.onWrongPath && !c.pathHalted
 	if c.dbgRing != nil {
-		c.dbgLog("fetch pc=%d wrong=%v oracle=%d", pc, c.onWrongPath, c.oracle.PC)
+		c.dbgLog("fetch pc=%d wrong=%v oracle=%d", pc, c.onWrongPath, c.cur.pc)
 	}
-	if trueKnown && c.oracle.PC != pc {
+	if trueKnown && c.cur.pc != pc {
 		extra := fmt.Sprintf(" liveCtxs=%d snaps=%d pendingClose=%v lastWrong=%s@pc%d cyc%d",
 			len(c.liveCtxs), len(c.snapshots), c.pendingClose != nil, c.dbgWrongWhy, c.dbgWrongPC, c.dbgWrongCyc)
 		for _, lc := range c.liveCtxs {
@@ -85,14 +85,14 @@ func (c *Core) fetchNormalSlot() (consumed, stop bool) {
 				lc.id, lc.branchPC, lc.spec.ReconPC, lc.closed, lc.diverged, lc.wrongPath, lc.scanFailed, lc.branchDone)
 		}
 		panic(fmt.Sprintf("ooo: oracle desync at fetch: oracle pc=%d fetch pc=%d cycle=%d%s",
-			c.oracle.PC, pc, c.cycle, extra))
+			c.cur.pc, pc, c.cycle, extra))
 	}
 
 	switch inst.Op {
 	case isa.Halt:
 		c.fetchParked = true
 		if trueKnown {
-			c.oracleHalted = true
+			c.pathHalted = true
 		}
 		c.pushFetch(fi)
 		c.emitFetchEvent(fi, false, 0)
@@ -101,7 +101,7 @@ func (c *Core) fetchNormalSlot() (consumed, stop bool) {
 	case isa.Jmp:
 		c.fetchPC = inst.Target
 		if trueKnown {
-			c.oracle.Step(c.prog)
+			c.step(&c.cur)
 		}
 		c.pushFetch(fi)
 		c.emitFetchEvent(fi, true, inst.Target)
@@ -113,7 +113,7 @@ func (c *Core) fetchNormalSlot() (consumed, stop bool) {
 	default:
 		c.fetchPC = pc + 1
 		if trueKnown {
-			c.oracle.Step(c.prog)
+			c.step(&c.cur)
 		}
 		c.pushFetch(fi)
 		c.emitFetchEvent(fi, false, 0)
@@ -126,7 +126,7 @@ func (c *Core) fetchNormalSlot() (consumed, stop bool) {
 func (c *Core) fetchBranch(pc int, inst *isa.Instruction, fi *fetchedInst, trueKnown bool) (consumed, stop bool) {
 	trueTaken := false
 	if trueKnown {
-		trueTaken = evalBranchOn(inst, &c.oracle.Regs)
+		trueTaken = c.outcome(c.cur.k)
 	}
 	pred := c.pred.Predict(uint64(pc), trueTaken)
 	fi.hasPred = true
@@ -152,7 +152,7 @@ func (c *Core) fetchBranch(pc int, inst *isa.Instruction, fi *fetchedInst, trueK
 		c.fetchPC = pc + 1
 	}
 	if trueKnown {
-		c.oracle.Step(c.prog)
+		c.step(&c.cur)
 		if pred.Taken != trueTaken {
 			tok := c.newTok()
 			fi.wrongTok = tok
@@ -167,7 +167,7 @@ func (c *Core) fetchBranch(pc int, inst *isa.Instruction, fi *fetchedInst, trueK
 }
 
 // openCtx opens a predication context at the conditional branch at pc. For
-// correct-path contexts it snapshots the oracle and scans the
+// correct-path contexts it snapshots the correct-path cursor and scans the
 // architecturally-correct path to the reconvergence point.
 func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fetchedInst) {
 	c.ctxIDGen++
@@ -178,6 +178,7 @@ func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fet
 		branchSeq: -1,
 		wrongPath: c.onWrongPath,
 		tok:       c.newTok(),
+		gate:      -1,
 	}
 	fi.role = RolePredBranch
 	fi.ctx = ctx
@@ -191,24 +192,19 @@ func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fet
 	}
 
 	if trueKnown {
-		c.snapshots = append(c.snapshots, oracleSnap{
-			ctx:  ctx,
-			regs: c.oracle.Regs,
-			pc:   c.oracle.PC,
-			mem:  c.oracleMem.SnapshotWrites(),
-		})
+		c.snapshots = append(c.snapshots, pathSnap{ctx: ctx, cur: c.cur})
 		ctx.trueKnown = true
 		ctx.trueTaken = trueTaken
-		c.oracle.Step(c.prog) // the branch itself
-		steps := 0
-		for c.oracle.PC != spec.ReconPC {
-			if steps >= spec.MaxBody || c.prog[c.oracle.PC].Op == isa.Halt {
+		c.step(&c.cur) // the branch itself
+		ctx.trueStart = c.cur
+		for c.cur.pc != spec.ReconPC {
+			if ctx.trueLen >= spec.MaxBody || uint(c.cur.pc) >= uint(len(c.prog)) ||
+				c.prog[c.cur.pc].Op == isa.Halt {
 				ctx.scanFailed = true
 				break
 			}
-			ctx.truePath = append(ctx.truePath, c.oracle.PC)
-			c.oracle.Step(c.prog)
-			steps++
+			c.step(&c.cur)
+			ctx.trueLen++
 		}
 	}
 
@@ -224,7 +220,7 @@ func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fet
 	c.ctx = ctx
 	c.ctxPhase = 1
 	c.pendingSwtch = false
-	c.ctxTrueIdx = 0
+	c.walk = ctx.trueStart
 	inst := &c.prog[pc]
 	if spec.FirstTaken {
 		c.ctxNext = inst.Target
@@ -249,7 +245,7 @@ func (c *Core) fetchCtxSlot() (consumed, stop bool) {
 			c.ctxPhase = 2
 			c.ctxNext = c.ctxD2Start
 			c.ctxWalkTaken = !c.ctxWalkTaken
-			c.ctxTrueIdx = 0
+			c.walk = ctx.trueStart
 			ctx.body = 0
 			c.pendingSwtch = true
 			if c.trace != nil {
@@ -285,13 +281,10 @@ func (c *Core) fetchCtxSlot() (consumed, stop bool) {
 	takenDir := false
 	onTrue := ctx.trueKnown && !ctx.scanFailed && c.ctxWalkTaken == ctx.trueTaken
 	if onTrue {
-		// Follow the recorded architecturally-correct path.
-		c.ctxTrueIdx++
-		if c.ctxTrueIdx < len(ctx.truePath) {
-			next = ctx.truePath[c.ctxTrueIdx]
-		} else {
-			next = recon
-		}
+		// Follow the architecturally-correct path the open scanned; it
+		// ends at the reconvergence point.
+		c.step(&c.walk)
+		next = c.walk.pc
 		takenDir = inst.IsControl() && next == inst.Target
 	} else {
 		switch inst.Op {
@@ -339,7 +332,7 @@ func (c *Core) closeCtx(ctx *ctxState) {
 	c.ctxPhase = 0
 	c.fetchPC = ctx.spec.ReconPC
 	if c.dbgRing != nil {
-		c.dbgLog("closeCtx ctx%d fetchPC=%d oracle=%d", ctx.id, c.fetchPC, c.oracle.PC)
+		c.dbgLog("closeCtx ctx%d fetchPC=%d oracle=%d", ctx.id, c.fetchPC, c.cur.pc)
 	}
 	if c.trace != nil {
 		c.trace.Emit(EvReconverge, ctx.branchPC, ctx.id, int64(ctx.spec.ReconPC))
@@ -396,15 +389,4 @@ func (c *Core) emitFetchEvent(fi *fetchedInst, taken bool, target int) {
 		Target:    target,
 		InContext: fi.ctx != nil,
 	})
-}
-
-// evalBranchOn evaluates a conditional branch's condition against a
-// register file.
-func evalBranchOn(in *isa.Instruction, regs *[isa.NumRegs]int64) bool {
-	a := regs[in.Rs1]
-	var b int64
-	if in.Cond.UsesRs2() {
-		b = regs[in.Rs2]
-	}
-	return in.Cond.Eval(a, b)
 }

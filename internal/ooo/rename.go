@@ -123,11 +123,13 @@ func (c *Core) renameOne(fi *fetchedInst) {
 		}
 	}
 
-	srcs, n := fi.inst.Sources()
-	for i := 0; i < n; i++ {
-		e.src[i] = c.rat[srcs[i]]
-	}
-	e.nsrc = n
+	// Both source fields name valid registers whatever the op reads, so
+	// both are renamed and nsrc bounds the reads. (Copying them through
+	// Sources' [2]Reg wrote two bytes and read them back as one word, a
+	// store-forwarding stall.)
+	e.src[0] = c.rat[fi.inst.Rs1]
+	e.src[1] = c.rat[fi.inst.Rs2]
+	e.nsrc = fi.inst.NumSources()
 
 	if fi.inst.HasDest() {
 		d := fi.inst.Rd
@@ -154,8 +156,12 @@ func (c *Core) renameOne(fi *fetchedInst) {
 	case isa.Nop, isa.Halt, isa.Jmp:
 		e.done = true
 	default:
-		c.iq = append(c.iq, e)
 		e.inIQ = true
+		if e.role == RoleBody && !e.ctx.spec.Eager && !e.ctx.branchDone {
+			c.gateBody(e)
+		} else {
+			c.iq = append(c.iq, e)
+		}
 	}
 }
 

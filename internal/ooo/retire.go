@@ -114,18 +114,15 @@ func (c *Core) retireBranch(e *robEntry) {
 		if ctx.flushedDiv {
 			st.Diverged++
 		}
-		// Drop this context's oracle snapshot (divergence already removed
-		// it) and commit the oracle overlay when no contexts remain open.
+		// Drop this context's path snapshot (divergence already removed
+		// it).
 		if len(c.snapshots) > 0 && c.snapshots[0].ctx == ctx {
 			// Shift down rather than reslicing the base forward: snapshots[1:]
 			// would strand capacity behind the new base and force the next
 			// append to reallocate once per predicated instance.
 			n := copy(c.snapshots, c.snapshots[1:])
-			c.snapshots[n] = oracleSnap{}
+			c.snapshots[n] = pathSnap{}
 			c.snapshots = c.snapshots[:n]
-			if len(c.snapshots) == 0 {
-				c.oracleMem.Commit()
-			}
 		}
 		c.pruneLiveCtx(ctx)
 		if c.scheme != nil {

@@ -110,16 +110,24 @@ type ctxState struct {
 	branchTaken bool
 	flushedDiv  bool // divergence flush already performed
 
-	// Oracle bookkeeping: the true outcome and the recorded true path
-	// (PCs strictly between branch and reconvergence), available only for
-	// correct-path contexts. scanFailed means the architecturally-correct
-	// path did not reach the reconvergence point within MaxBody steps.
+	// Correct-path bookkeeping, for correct-path contexts only: the true
+	// outcome, and the true path strictly between branch and
+	// reconvergence as a cursor at its first instruction and its length.
+	// scanFailed means the architecturally-correct path did not reach the
+	// reconvergence point within MaxBody steps.
 	trueKnown  bool
 	trueTaken  bool
-	truePath   []int
+	trueStart  pathCursor
+	trueLen    int
 	scanFailed bool
 	reconHint  int   // divergence feedback (see ResolveEvent.ReconHint)
 	bodyStalls int64 // gated-wakeup count (see ResolveEvent.BodyStallCycles)
+
+	// gate heads the list (in the core's waitRecs arena, newest first) of
+	// stall-mode bodies renamed before the branch resolved; gated counts
+	// them. resolveBranch moves them to the woken buffer.
+	gate  int32
+	gated int
 
 	// Eager (select-µop) rename fork state.
 	rat0, rat1   [isa.NumRegs]int

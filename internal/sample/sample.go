@@ -623,8 +623,7 @@ func boundaryDiff(prog []isa.Instruction, ckpt *isa.Checkpoint, c *ooo.Core, res
 				r, res.FinalRegs[r], ref.Regs[r], ckpt.Retired+c.Retired())
 		}
 	}
-	refMem := ref.Mem.(*isa.Memory)
-	if diffs := c.CommitMemory().DiffWords(refMem, 3); len(diffs) > 0 {
+	if diffs := c.CommitMemory().DiffWords(ref.Mem, 3); len(diffs) > 0 {
 		var d []string
 		for _, w := range diffs {
 			d = append(d, fmt.Sprintf("[%#x]=%#x want %#x", w.Addr, w.A, w.B))
