@@ -4,18 +4,18 @@ import "testing"
 
 // TestMemoryNegativeAddresses is the regression test for the signed-offset
 // bug: the page key uses arithmetic shift (floor), so the in-page offset
-// must be the masked remainder — addr%pageBytes is negative for negative
+// must be the masked remainder — addr%PageBytes is negative for negative
 // addresses and indexed the page slice at a negative offset (panic).
 func TestMemoryNegativeAddresses(t *testing.T) {
 	m := NewMemory()
 	addrs := []int64{
 		-8,                        // last word of page -1
-		-pageBytes,                // first word of page -1
-		-pageBytes - 8,            // last word of page -2
-		-3 * pageBytes,            // deeper negative page
+		-PageBytes,                // first word of page -1
+		-PageBytes - 8,            // last word of page -2
+		-3 * PageBytes,            // deeper negative page
 		-1,                        // unaligned negative (word -8)
-		-pageBytes + 5,            // unaligned within page -1
-		0, 8, pageBytes, -8 << 20, // mixed positives and a far-negative
+		-PageBytes + 5,            // unaligned within page -1
+		0, 8, PageBytes, -8 << 20, // mixed positives and a far-negative
 	}
 	for i, a := range addrs {
 		want := int64(0x1000 + i)
@@ -35,10 +35,10 @@ func TestMemoryNegativeAddresses(t *testing.T) {
 	if !m.Equal(c) {
 		t.Fatalf("clone not equal to original")
 	}
-	c.Store(-pageBytes, 999)
+	c.Store(-PageBytes, 999)
 	diffs := m.DiffWords(c, 0)
-	if len(diffs) != 1 || diffs[0].Addr != -pageBytes || diffs[0].B != 999 {
-		t.Fatalf("DiffWords across negative page = %+v, want one diff at %#x", diffs, int64(-pageBytes))
+	if len(diffs) != 1 || diffs[0].Addr != -PageBytes || diffs[0].B != 999 {
+		t.Fatalf("DiffWords across negative page = %+v, want one diff at %#x", diffs, int64(-PageBytes))
 	}
 	if m.Equal(c) {
 		t.Fatalf("Equal missed a negative-page diff")

@@ -2,107 +2,194 @@ package isa
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Memory is a sparse functional memory of whole 64-bit words addressed by
 // byte address (the low three address bits are ignored; the timing model
-// uses full byte addresses for cache indexing). Snapshots taken with
-// CloneCOW share pages copy-on-write, so checkpointing a multi-MB image
-// costs one map copy instead of a byte copy.
+// uses full byte addresses for cache indexing).
+//
+// It is a flat page table. A page whose index lies in [0, densePages), the
+// first 64 MiB where every suite image lives, sits in a slice indexed by
+// page number and grown on demand to the highest such page stored to, so
+// Load is a bounds check and a pointer load. Only pages outside that range
+// (negative addresses, or addresses far beyond it, which fuzzed programs
+// and traces can reach) stay in a map.
+//
+// Snapshots taken with CloneCOW share pages copy-on-write. Each slot has an
+// ownership bit, set only while this memory alone holds the page and so may
+// write it in place: a Store to an owned page costs one flag check, and the
+// first Store to a shared page copies it and sets the bit. CloneCOW copies
+// the table with every bit clear and clears the receiver's bits, so
+// checkpointing a multi-MB image costs a table copy instead of a byte copy.
 type Memory struct {
-	pages map[int64]*[pageWords]int64
-	// owned tracks the pages this memory may write in place. nil means
-	// every page is exclusively owned (a memory that never took part in a
-	// CloneCOW — the common case, with no per-store map lookup beyond it).
-	// Non-nil means pages absent from the set are shared with a COW
-	// sibling and must be copied before the first write.
-	owned map[int64]struct{}
+	dense []slot         // page i at dense[i], for i < densePages
+	far   map[int64]slot // every resident page outside the dense range
+	owned int            // slots whose ownership bit is set
 }
 
+// slot is one page-table entry. own means the memory may write p in
+// place; it implies p != nil.
+type slot struct {
+	p   *page
+	own bool
+}
+
+type page = [pageWords]int64
+
 const (
-	pageShift = 12 // 4 KiB pages
-	pageBytes = 1 << pageShift
-	pageWords = pageBytes / 8
+	// PageShift is log2 of PageBytes.
+	PageShift = 12
+	// PageBytes is the page size: the unit a memory allocates, copies on
+	// write and shares between snapshots.
+	PageBytes = 1 << PageShift
+	pageWords = PageBytes / 8
+	// densePages bounds the dense table (64 MiB of address space). The
+	// suite's pages all lie below (chase table base + 16 MiB) >> PageShift
+	// = 6144; a table grown to its bound costs 256 KiB per memory.
+	densePages = 1 << 14
 )
 
 // NewMemory returns an empty memory; all words read as zero.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[int64]*[pageWords]int64)}
-}
+func NewMemory() *Memory { return &Memory{} }
 
 // Load reads the 64-bit word containing byte address addr.
 //
-// The page key is the arithmetic shift addr>>pageShift (floor division),
-// so the in-page offset must be the masked remainder addr&(pageBytes-1):
-// a signed addr%pageBytes is negative for negative addresses and indexed
-// the page with a negative slice offset.
+// The page index is the arithmetic shift addr>>PageShift (floor division),
+// so the in-page word index must be masked bits, addr>>3&(pageWords-1): a
+// signed remainder is negative for negative addresses and indexed the page
+// with a negative slice offset. The mask also lets the compiler drop the
+// page's bounds check.
 func (m *Memory) Load(addr int64) int64 {
-	page, ok := m.pages[addr>>pageShift]
-	if !ok {
+	if i := int(addr >> PageShift); uint(i) < uint(len(m.dense)) {
+		if p := m.dense[i].p; p != nil {
+			return p[addr>>3&(pageWords-1)]
+		}
 		return 0
 	}
-	return page[(addr&(pageBytes-1))/8]
+	return m.loadFar(addr)
+}
+
+// loadFar is Load for a page past the dense table's length, which only
+// the map can hold.
+func (m *Memory) loadFar(addr int64) int64 {
+	if s, ok := m.far[addr>>PageShift]; ok {
+		return s.p[addr>>3&(pageWords-1)]
+	}
+	return 0
 }
 
 // Store writes the 64-bit word containing byte address addr.
 func (m *Memory) Store(addr, val int64) {
-	idx := addr >> pageShift
-	page, ok := m.pages[idx]
-	if !ok {
-		page = new([pageWords]int64)
-		m.pages[idx] = page
-		if m.owned != nil {
-			m.owned[idx] = struct{}{}
-		}
-	} else if m.owned != nil {
-		if _, own := m.owned[idx]; !own {
-			cp := *page
-			page = &cp
-			m.pages[idx] = page
-			m.owned[idx] = struct{}{}
-		}
+	if i := int(addr >> PageShift); uint(i) < uint(len(m.dense)) && m.dense[i].own {
+		m.dense[i].p[addr>>3&(pageWords-1)] = val
+		return
 	}
-	page[(addr&(pageBytes-1))/8] = val
+	m.storeSlow(addr, val)
+}
+
+// storeSlow is Store to a page m does not own yet: it grows the dense
+// table to reach a dense page, and takes ownership of the page's slot
+// before writing.
+func (m *Memory) storeSlow(addr, val int64) {
+	idx := addr >> PageShift
+	var p *page
+	if uint64(idx) < densePages {
+		if n := int(idx) + 1; n > len(m.dense) {
+			m.dense = append(m.dense, make([]slot, n-len(m.dense))...)
+		}
+		p = m.own(&m.dense[idx])
+	} else {
+		s := m.far[idx]
+		if !s.own {
+			if m.far == nil {
+				m.far = make(map[int64]slot)
+			}
+			m.own(&s)
+			m.far[idx] = s
+		}
+		p = s.p
+	}
+	p[addr>>3&(pageWords-1)] = val
+}
+
+// own makes s's page private to m: a fresh zero page if s is empty, a
+// copy if the page is shared with a COW sibling.
+func (m *Memory) own(s *slot) *page {
+	if !s.own {
+		p := new(page)
+		if s.p != nil {
+			*p = *s.p
+		}
+		*s = slot{p: p, own: true}
+		m.owned++
+	}
+	return s.p
 }
 
 // Clone returns a deep copy of the memory.
 func (m *Memory) Clone() *Memory {
-	c := NewMemory()
-	for idx, page := range m.pages {
-		cp := *page
-		c.pages[idx] = &cp
+	c := &Memory{dense: make([]slot, len(m.dense))}
+	for i, s := range m.dense {
+		if s.p != nil {
+			c.own(&c.dense[i])
+			*c.dense[i].p = *s.p
+		}
+	}
+	if len(m.far) > 0 {
+		c.far = make(map[int64]slot, len(m.far))
+		for idx, s := range m.far {
+			var cs slot
+			*c.own(&cs) = *s.p
+			c.far[idx] = cs
+		}
 	}
 	return c
 }
 
 // CloneCOW returns a copy-on-write snapshot: the clone shares every page
 // with the receiver, and whichever side writes a shared page first copies
-// it privately. O(resident pages) map work instead of O(bytes), which is
-// what makes per-window checkpointing affordable for multi-MB footprints.
+// it privately. It copies the page table, O(table length) pointer copies
+// instead of O(bytes), which is what makes per-window checkpointing
+// affordable for multi-MB footprints.
 //
-// Taking the snapshot marks all of the receiver's pages shared, so it
-// briefly mutates the receiver; concurrent CloneCOW calls are safe only on
-// a memory that is never stored to after its own snapshot was taken (e.g.
-// a Checkpoint's frozen image, whose owned set stays empty).
+// Taking the snapshot clears the receiver's ownership bits, so it writes
+// to the receiver only if the receiver owns a page. A memory that owns
+// none, such as a Checkpoint's frozen image, is only read, so concurrent
+// CloneCOW and Load calls on it are safe.
 func (m *Memory) CloneCOW() *Memory {
-	c := &Memory{
-		pages: make(map[int64]*[pageWords]int64, len(m.pages)),
-		owned: make(map[int64]struct{}),
+	c := &Memory{dense: make([]slot, len(m.dense))}
+	for i, s := range m.dense {
+		c.dense[i].p = s.p
 	}
-	for idx, page := range m.pages {
-		c.pages[idx] = page
+	if len(m.far) > 0 {
+		c.far = make(map[int64]slot, len(m.far))
+		for idx, s := range m.far {
+			c.far[idx] = slot{p: s.p}
+		}
 	}
-	if m.owned == nil {
-		m.owned = make(map[int64]struct{})
-	} else if len(m.owned) > 0 {
-		clear(m.owned)
+	if m.owned > 0 {
+		for i := range m.dense {
+			m.dense[i].own = false
+		}
+		for idx, s := range m.far {
+			m.far[idx] = slot{p: s.p}
+		}
+		m.owned = 0
 	}
 	return c
 }
 
 // Footprint returns the number of resident pages (for tests/diagnostics).
-func (m *Memory) Footprint() int { return len(m.pages) }
+func (m *Memory) Footprint() int {
+	n := len(m.far)
+	for _, s := range m.dense {
+		if s.p != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Equal reports whether the two memories hold identical word contents.
 // Absent pages compare as zero, so a memory with an all-zero resident page
@@ -117,43 +204,88 @@ type MemDiff struct {
 
 // DiffWords returns up to max differing words between m and o in ascending
 // address order (all of them when max <= 0). Absent pages read as zero.
+//
+// It walks the pages in address order: the negative far pages, the dense
+// table, then the far pages above it. Only far pages need sorting, and a
+// memory without any (every suite image) sorts nothing.
 func (m *Memory) DiffWords(o *Memory, max int) []MemDiff {
-	idxSet := make(map[int64]struct{}, len(m.pages)+len(o.pages))
-	for idx := range m.pages {
-		idxSet[idx] = struct{}{}
-	}
-	for idx := range o.pages {
-		idxSet[idx] = struct{}{}
-	}
-	idxs := make([]int64, 0, len(idxSet))
-	for idx := range idxSet {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-
-	var zero [pageWords]int64
 	var out []MemDiff
-	for _, idx := range idxs {
-		pa, pb := m.pages[idx], o.pages[idx]
+	// diff appends page idx's differing words and reports whether out is
+	// full.
+	diff := func(idx int64, pa, pb *page) bool {
 		if pa == pb {
-			continue // COW-shared (or both absent): identical by construction
+			return false // COW-shared (or both absent): identical by construction
 		}
 		if pa == nil {
-			pa = &zero
+			pa = &zeroPage
 		}
 		if pb == nil {
-			pb = &zero
+			pb = &zeroPage
 		}
-		for w := 0; w < pageWords; w++ {
+		if *pa == *pb {
+			return false
+		}
+		for w := range pa {
 			if pa[w] != pb[w] {
-				out = append(out, MemDiff{Addr: idx<<pageShift + int64(w)*8, A: pa[w], B: pb[w]})
+				out = append(out, MemDiff{Addr: idx<<PageShift + int64(w)*8, A: pa[w], B: pb[w]})
 				if max > 0 && len(out) >= max {
-					return out
+					return true
 				}
 			}
 		}
+		return false
+	}
+	far := farIndexes(m, o)
+	k := 0
+	for ; k < len(far) && far[k] < 0; k++ {
+		if diff(far[k], m.far[far[k]].p, o.far[far[k]].p) {
+			return out
+		}
+	}
+	n := len(m.dense)
+	if len(o.dense) > n {
+		n = len(o.dense)
+	}
+	for i := 0; i < n; i++ {
+		if diff(int64(i), m.densePage(i), o.densePage(i)) {
+			return out
+		}
+	}
+	for ; k < len(far); k++ {
+		if diff(far[k], m.far[far[k]].p, o.far[far[k]].p) {
+			return out
+		}
 	}
 	return out
+}
+
+var zeroPage page
+
+// densePage returns dense page i, or nil if it is absent.
+func (m *Memory) densePage(i int) *page {
+	if i < len(m.dense) {
+		return m.dense[i].p
+	}
+	return nil
+}
+
+// farIndexes returns the far page indexes resident in a or b, ascending
+// and without repeats.
+func farIndexes(a, b *Memory) []int64 {
+	if len(a.far)+len(b.far) == 0 {
+		return nil
+	}
+	idxs := make([]int64, 0, len(a.far)+len(b.far))
+	for idx := range a.far {
+		idxs = append(idxs, idx)
+	}
+	for idx := range b.far {
+		if _, dup := a.far[idx]; !dup {
+			idxs = append(idxs, idx)
+		}
+	}
+	slices.Sort(idxs)
+	return idxs
 }
 
 // ArchState is the complete architectural state of the machine.

@@ -148,6 +148,7 @@ func decodeMemory(payload []byte) ([]memWord, error) {
 	}
 	words := make([]memWord, 0, n)
 	prev := int64(0)
+	pages := 0
 	for i := uint64(0); i < n; i++ {
 		d, err := c.varint()
 		if err != nil {
@@ -160,6 +161,12 @@ func decodeMemory(payload []byte) ([]memWord, error) {
 		addr := prev + d
 		if i > 0 && addr <= prev {
 			return nil, fmt.Errorf("trace: memory addresses not strictly ascending at %#x", addr)
+		}
+		// Ascending words start a new page whenever the page index moves.
+		if i == 0 || addr>>isa.PageShift != prev>>isa.PageShift {
+			if pages++; pages > maxMemoryPages {
+				return nil, fmt.Errorf("trace: memory image touches more than %d pages", maxMemoryPages)
+			}
 		}
 		words = append(words, memWord{addr: addr, val: v})
 		prev = addr

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"acb/internal/isa"
@@ -201,6 +203,48 @@ func TestBitflip(t *testing.T) {
 				t.Fatalf("flip byte %d bit %d: decoded without error to different contents", i, bit)
 			}
 		}
+	}
+}
+
+// TestMemoryPageCap: one word per page costs 3 payload bytes, so only a
+// page cap bounds the image a small memory block builds. A block whose
+// words touch one page more than the cap must fail to decode; one at the
+// cap decodes.
+func TestMemoryPageCap(t *testing.T) {
+	encode := func(pages int) []byte {
+		var buf bytes.Buffer
+		tw, err := NewWriter(&buf, Header{Source: "page-cap"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two words share the first page; every further word opens a page.
+		b := binary.AppendUvarint(nil, uint64(pages+1))
+		b = binary.AppendUvarint(b, zigzag(-isa.PageBytes))
+		b = binary.AppendUvarint(b, zigzag(1))
+		b = binary.AppendUvarint(b, zigzag(8))
+		b = binary.AppendUvarint(b, zigzag(1))
+		for i := 1; i < pages; i++ {
+			b = binary.AppendUvarint(b, zigzag(isa.PageBytes))
+			b = binary.AppendUvarint(b, zigzag(1))
+		}
+		if err := tw.section(blockMemory); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.writeBlock(blockMemory, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(0, true); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	over := encode(maxMemoryPages + 1)
+	if _, err := Decode(bytes.NewReader(over)); err == nil || !strings.Contains(err.Error(), "pages") {
+		t.Fatalf("a %d-byte block touching %d pages decoded with err = %v, want the page cap",
+			len(over), maxMemoryPages+1, err)
+	}
+	if _, err := Decode(bytes.NewReader(encode(maxMemoryPages))); err != nil {
+		t.Fatalf("a block touching %d pages: %v", maxMemoryPages, err)
 	}
 }
 

@@ -211,18 +211,22 @@ func (sp *Spec) build(train bool) ([]isa.Instruction, *isa.Memory) {
 		if span == 0 {
 			span = 1 << 20
 		}
-		slots := span / 8
-		perm := make([]int64, slots)
+		perm := make([]int32, span/8)
 		for i := range perm {
-			perm[i] = int64(i)
+			perm[i] = int32(i)
 		}
-		for i := int64(len(perm)) - 1; i > 0; i-- {
-			j := int64(r.next() % uint64(i+1))
+		for i := len(perm) - 1; i > 0; i-- {
+			j := r.next() % uint64(i+1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		for i := int64(0); i < slots; i++ {
-			m.Store(chaseTableBase+perm[i]*8, chaseTableBase+perm[(i+1)%slots]*8)
+		// Slot perm[i] points at slot perm[i+1], and the last back at the
+		// first: walking a running predecessor spares a division per slot.
+		prev := perm[0]
+		for _, cur := range perm[1:] {
+			m.Store(chaseTableBase+int64(prev)*8, chaseTableBase+int64(cur)*8)
+			prev = cur
 		}
+		m.Store(chaseTableBase+int64(prev)*8, chaseTableBase+int64(perm[0])*8)
 	}
 
 	// Data table for FeedsLoad hammocks.
