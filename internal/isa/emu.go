@@ -57,9 +57,8 @@ func NewMemory() *Memory { return &Memory{} }
 //
 // The page index is the arithmetic shift addr>>PageShift (floor division),
 // so the in-page word index must be masked bits, addr>>3&(pageWords-1): a
-// signed remainder is negative for negative addresses and indexed the page
-// with a negative slice offset. The mask also lets the compiler drop the
-// page's bounds check.
+// signed remainder would be negative for negative addresses. The mask also
+// lets the compiler drop the page's bounds check.
 func (m *Memory) Load(addr int64) int64 {
 	if i := int(addr >> PageShift); uint(i) < uint(len(m.dense)) {
 		if p := m.dense[i].p; p != nil {
@@ -132,8 +131,7 @@ func (m *Memory) Clone() *Memory {
 	c := &Memory{dense: make([]slot, len(m.dense))}
 	for i, s := range m.dense {
 		if s.p != nil {
-			c.own(&c.dense[i])
-			*c.dense[i].p = *s.p
+			*c.own(&c.dense[i]) = *s.p
 		}
 	}
 	if len(m.far) > 0 {
