@@ -60,22 +60,19 @@ func NewMemory() *Memory { return &Memory{} }
 // signed remainder would be negative for negative addresses. The mask also
 // lets the compiler drop the page's bounds check.
 func (m *Memory) Load(addr int64) int64 {
-	if i := int(addr >> PageShift); uint(i) < uint(len(m.dense)) {
-		if p := m.dense[i].p; p != nil {
-			return p[addr>>3&(pageWords-1)]
-		}
-		return 0
-	}
-	return m.loadFar(addr)
-}
-
-// loadFar is Load for a page past the dense table's length, which only
-// the map can hold.
-func (m *Memory) loadFar(addr int64) int64 {
-	if s, ok := m.far[addr>>PageShift]; ok {
-		return s.p[addr>>3&(pageWords-1)]
+	if p := m.pageAt(addr >> PageShift); p != nil {
+		return p[addr>>3&(pageWords-1)]
 	}
 	return 0
+}
+
+// pageAt returns page idx, or nil if it is absent. A page past the dense
+// table's length can only be in the map.
+func (m *Memory) pageAt(idx int64) *page {
+	if uint64(idx) < uint64(len(m.dense)) {
+		return m.dense[idx].p
+	}
+	return m.far[idx].p
 }
 
 // Store writes the 64-bit word containing byte address addr.
@@ -236,21 +233,21 @@ func (m *Memory) DiffWords(o *Memory, max int) []MemDiff {
 	far := farIndexes(m, o)
 	k := 0
 	for ; k < len(far) && far[k] < 0; k++ {
-		if diff(far[k], m.far[far[k]].p, o.far[far[k]].p) {
+		if diff(far[k], m.pageAt(far[k]), o.pageAt(far[k])) {
 			return out
 		}
 	}
-	n := len(m.dense)
-	if len(o.dense) > n {
-		n = len(o.dense)
+	n := int64(len(m.dense))
+	if int64(len(o.dense)) > n {
+		n = int64(len(o.dense))
 	}
-	for i := 0; i < n; i++ {
-		if diff(int64(i), m.densePage(i), o.densePage(i)) {
+	for i := int64(0); i < n; i++ {
+		if diff(i, m.pageAt(i), o.pageAt(i)) {
 			return out
 		}
 	}
 	for ; k < len(far); k++ {
-		if diff(far[k], m.far[far[k]].p, o.far[far[k]].p) {
+		if diff(far[k], m.pageAt(far[k]), o.pageAt(far[k])) {
 			return out
 		}
 	}
@@ -258,14 +255,6 @@ func (m *Memory) DiffWords(o *Memory, max int) []MemDiff {
 }
 
 var zeroPage page
-
-// densePage returns dense page i, or nil if it is absent.
-func (m *Memory) densePage(i int) *page {
-	if i < len(m.dense) {
-		return m.dense[i].p
-	}
-	return nil
-}
 
 // farIndexes returns the far page indexes resident in a or b, ascending
 // and without repeats.
