@@ -54,9 +54,9 @@ const (
 	maxBlockLen  = 1 << 28 // bytes per block payload
 	maxStringLen = 1 << 12 // provenance string bytes
 	// maxMemoryPages caps the pages the memory image touches (256 MiB of
-	// isa.PageBytes pages; the suite's largest image touches ~4.2k). One
-	// word per page costs only 3 payload bytes, so the block length alone
-	// would let a 60 KB block build 20k pages.
+	// isa.PageBytes pages; the suite's largest image, h264ref's, touches
+	// 4136). One word per page costs only 3 payload bytes, so the block
+	// length alone would let a 60 KB block build 20k pages.
 	maxMemoryPages = 1 << 16
 	// branchBlockRecords is the writer's records-per-block batch size.
 	branchBlockRecords = 4096
