@@ -77,8 +77,8 @@ func (m *Memory) pageAt(idx int64) *page {
 
 // Store writes the 64-bit word containing byte address addr.
 func (m *Memory) Store(addr, val int64) {
-	if i := int(addr >> PageShift); uint(i) < uint(len(m.dense)) && m.dense[i].own {
-		m.dense[i].p[addr>>3&(pageWords-1)] = val
+	if idx := addr >> PageShift; uint64(idx) < uint64(len(m.dense)) && m.dense[idx].own {
+		m.dense[idx].p[addr>>3&(pageWords-1)] = val
 		return
 	}
 	m.storeSlow(addr, val)
