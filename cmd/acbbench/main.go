@@ -30,9 +30,8 @@ import (
 	"sort"
 	"time"
 
-	"acb/internal/bpu"
 	"acb/internal/config"
-	"acb/internal/core"
+	"acb/internal/experiments"
 	"acb/internal/ooo"
 	"acb/internal/stats"
 	"acb/internal/workload"
@@ -69,8 +68,8 @@ type SchemeSummary struct {
 	AllocsPerKCycMean float64 `json:"allocs_per_kcycle_mean"`
 }
 
-// schemes are the engines measured per workload.
-var schemes = []string{"baseline", "acb"}
+// schemes are the catalogue engines measured per workload.
+var schemes = []string{string(experiments.SchemeBaseline), string(experiments.SchemeACB)}
 
 // throughputTolerance is the allowed fractional drop in a scheme's
 // normalized geomean throughput before the gate fails.
@@ -85,52 +84,79 @@ const (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is acbbench with its arguments and output streams, returning the
+// exit status: 0 on success, 1 on a gate failure, 2 on an error. The
+// -compare baseline is read before anything is written, and a snapshot
+// whose -out names the baseline's file is not written: a gate run never
+// rewrites the snapshot it gates against.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("acbbench", flag.ExitOnError)
 	var (
-		out     = flag.String("out", "BENCH_cycleloop.json", "write the measured snapshot here ('' to skip)")
-		compare = flag.String("compare", "", "baseline snapshot to gate against (exit 1 on regression)")
-		budget  = flag.Int64("budget", 400_000, "retired-instruction budget per simulation")
-		repeat  = flag.Int("repeat", 3, "measurement repetitions; the fastest wall time wins")
+		out     = fs.String("out", "BENCH_cycleloop.json", "write the measured snapshot here ('' to skip)")
+		compare = fs.String("compare", "", "baseline snapshot to gate against (exit 1 on regression)")
+		budget  = fs.Int64("budget", 400_000, "retired-instruction budget per simulation")
+		repeat  = fs.Int("repeat", 3, "measurement repetitions; the fastest wall time wins")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "acbbench: %v\n", err)
+		return 2
+	}
+
+	var base *Snapshot
+	if *compare != "" {
+		var err error
+		if base, err = load(*compare); err != nil {
+			return fail(err)
+		}
+		if sameFile(*out, *compare) {
+			fmt.Fprintf(stdout, "not writing %s: it is the -compare baseline\n", *out)
+			*out = ""
+		}
+	}
 
 	snap, err := measure(*budget, *repeat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "acbbench: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	if *out != "" {
 		buf, _ := json.MarshalIndent(snap, "", "  ")
 		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "acbbench: %v\n", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s\n", *out)
+		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
 
-	fmt.Printf("ref_score %.3g/s\n", snap.RefScore)
+	fmt.Fprintf(stdout, "ref_score %.3g/s\n", snap.RefScore)
 	for _, sch := range schemes {
 		sum := snap.Schemes[sch]
-		fmt.Printf("%-8s geomean normalized %.4g   mean allocs/kcycle %.3f\n",
+		fmt.Fprintf(stdout, "%-8s geomean normalized %.4g   mean allocs/kcycle %.3f\n",
 			sch, sum.NormalizedCPSGeomean, sum.AllocsPerKCycMean)
 	}
 
-	if *compare != "" {
-		base, err := load(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acbbench: %v\n", err)
-			os.Exit(2)
-		}
-		fails := gate(base, snap, os.Stdout)
-		if len(fails) == 0 {
-			fmt.Println("perf gate: PASS")
-			return
-		}
-		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "perf gate: FAIL %s\n", f)
-		}
-		os.Exit(1)
+	if base == nil {
+		return 0
 	}
+	fails := gate(base, snap, stdout)
+	if len(fails) == 0 {
+		fmt.Fprintln(stdout, "perf gate: PASS")
+		return 0
+	}
+	for _, f := range fails {
+		fmt.Fprintf(stderr, "perf gate: FAIL %s\n", f)
+	}
+	return 1
+}
+
+// sameFile reports whether paths a and b name one existing file.
+func sameFile(a, b string) bool {
+	sa, errA := os.Stat(a)
+	sb, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(sa, sb)
 }
 
 // refScore times a fixed xorshift/sum loop — pure integer compute, no
@@ -207,14 +233,17 @@ func summarize(rows []WorkloadRow) map[string]SchemeSummary {
 // across repetitions; wall time takes the fastest of `repeat` runs.
 func measureOne(w *workload.Workload, sch string, budget int64, repeat int) (*WorkloadRow, error) {
 	row := &WorkloadRow{Name: w.Name, Scheme: sch}
+	eng, err := experiments.LookupEngine(sch)
+	if err != nil {
+		return nil, err
+	}
+	newPredictor, newScheme, err := eng.Constructors(w)
+	if err != nil {
+		return nil, err
+	}
 	for r := 0; r < repeat; r++ {
 		p, m := w.Build()
-		var scheme ooo.Scheme
-		if sch == "acb" {
-			scheme = core.New(core.DefaultConfig())
-		}
-		c := ooo.NewWithMemory(config.Skylake(), p,
-			bpu.NewTAGE(bpu.DefaultTAGEConfig()), scheme, m)
+		c := ooo.NewWithMemory(config.Skylake(), p, newPredictor(), newScheme(), m)
 
 		var msBefore, msAfter runtime.MemStats
 		runtime.ReadMemStats(&msBefore)

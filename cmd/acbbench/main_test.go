@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -114,5 +118,41 @@ func TestSummarizeIsPerScheme(t *testing.T) {
 	}
 	if g := s["acb"].NormalizedCPSGeomean; g < 7.999 || g > 8.001 {
 		t.Errorf("acb geomean %v, want 8", g)
+	}
+}
+
+// TestCompareLeavesBaselineUnchanged: a gate run whose -out names its
+// -compare baseline — as `-compare BENCH_cycleloop.json` with the default
+// -out does — gates against the file as it was and leaves it byte for
+// byte unchanged. The baseline is one no run can match, so the gate must
+// fail citing it.
+func TestCompareLeavesBaselineUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures the Fig. 6 sweep")
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_cycleloop.json")
+	base := &Snapshot{Budget: 2_000, Schemes: map[string]SchemeSummary{
+		"baseline": {NormalizedCPSGeomean: 1e9},
+		"acb":      {NormalizedCPSGeomean: 1e9},
+	}}
+	want, err := json.MarshalIndent(base, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-compare", path, "-out", path, "-budget", "2000", "-repeat", "1"}, &stdout, &stderr)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the gate run rewrote its baseline:\n%s", got)
+	}
+	if code != 1 || !strings.Contains(stderr.String(), "baseline 1e+09") {
+		t.Fatalf("exit %d, stderr %q: want a gate failure against the unchanged baseline", code, stderr.String())
 	}
 }

@@ -524,20 +524,11 @@ func submit(args []string) error {
 	if err := decode(resp, &tab); err != nil {
 		return err
 	}
-	switch *format {
-	case "json":
-		b, err := json.Marshal(&tab)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(b))
-	case "csv":
-		fmt.Print(tab.CSV())
-	case "ascii":
-		fmt.Print(tab.String())
-	default:
-		return fmt.Errorf("submit: unknown format %q", *format)
+	out, err := tab.Render(*format)
+	if err != nil {
+		return fmt.Errorf("submit: %w", err)
 	}
+	fmt.Print(out)
 	return nil
 }
 

@@ -16,12 +16,12 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"acb/internal/bpu"
 	"acb/internal/config"
 	"acb/internal/core"
-	"acb/internal/dmp"
 	"acb/internal/experiments"
 	"acb/internal/isa"
 	"acb/internal/ooo"
@@ -34,10 +34,10 @@ import (
 func main() {
 	var (
 		name      = flag.String("workload", "lammps", "workload selector: name, trace:<file>, or adversarial entry (see acbsweep -list)")
-		schemeStr = flag.String("scheme", "acb", "baseline | perfect | acb | acb-nodynamo | acb-eager | dmp | dmp-pbh | dhp")
+		schemeStr = flag.String("scheme", "acb", "scheme: "+strings.Join(experiments.SchemeNames(), " | ")+" (perfect = perfect-bp)")
 		budget    = flag.Int64("budget", 1_000_000, "retired-instruction budget")
 		cfgName   = flag.String("config", "skylake", "skylake | skylake-2x | skylake-3x | future")
-		predName  = flag.String("predictor", "tage", "tage | gshare | bimodal | perceptron")
+		predName  = flag.String("predictor", "tage", "predictor for schemes that do not pin one: "+strings.Join(bpu.Names(), " | "))
 		format    = flag.String("format", "ascii", "output rendering: json | csv | ascii")
 		topN      = flag.Int("top", 10, "print the N most-mispredicting branch PCs")
 		pipe      = flag.Bool("pipestats", false, "collect and print pipeline utilization")
@@ -52,8 +52,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *format != "ascii" && *format != "json" && *format != "csv" {
-		fail(fmt.Errorf("unknown format %q (want json, csv or ascii)", *format))
+	if _, err := new(stats.Table).Render(*format); err != nil {
+		fail(err)
 	}
 	w, err := workload.Resolve(*name)
 	if err != nil {
@@ -77,52 +77,16 @@ func main() {
 		return
 	}
 
-	newPredictor := func() bpu.Predictor {
-		if *schemeStr == "perfect" {
-			return bpu.NewOracle()
-		}
-		switch *predName {
-		case "tage":
-			return bpu.NewTAGE(bpu.DefaultTAGEConfig())
-		case "gshare":
-			return bpu.NewGShare(14, 16)
-		case "bimodal":
-			return bpu.NewBimodal(14)
-		case "perceptron":
-			return bpu.NewPerceptron(10, 32)
-		}
-		fail(fmt.Errorf("unknown predictor %q", *predName))
-		return nil
+	eng, err := experiments.LookupEngine(*schemeStr)
+	if err != nil {
+		fail(err)
 	}
-
-	var newScheme func() ooo.Scheme
-	switch *schemeStr {
-	case "baseline", "perfect":
-	case "acb":
-		newScheme = func() ooo.Scheme { return core.New(core.DefaultConfig()) }
-	case "acb-nodynamo":
-		newScheme = func() ooo.Scheme {
-			c := core.DefaultConfig()
-			c.UseDynamo = false
-			return core.New(c)
-		}
-	case "acb-eager":
-		newScheme = func() ooo.Scheme {
-			c := core.DefaultConfig()
-			c.Eager = true
-			return core.New(c)
-		}
-	case "dmp", "dmp-pbh", "dhp":
-		mode := dmp.ModeDMP
-		if *schemeStr == "dhp" {
-			mode = dmp.ModeDHP
-		}
-		c := dmp.DefaultConfig(mode)
-		c.PerfectBranchHistory = *schemeStr == "dmp-pbh"
-		cands := dmp.Profile(p, m, dmp.DefaultProfileConfig())
-		newScheme = func() ooo.Scheme { return dmp.New(c, cands) }
-	default:
-		fail(fmt.Errorf("unknown scheme %q", *schemeStr))
+	if eng.Predictor == "" { // the scheme does not pin its predictor
+		eng.Predictor = *predName
+	}
+	newPredictor, newScheme, err := eng.Constructors(&w)
+	if err != nil {
+		fail(err)
 	}
 
 	if *sampled {
@@ -136,25 +100,21 @@ func main() {
 		if *sMeasure > 0 {
 			plan.Measure = *sMeasure
 		}
-		runSampled(&w, cfg, p, m, plan, sampledOpts{
-			budget:       *budget,
-			newPredictor: newPredictor,
-			newScheme:    newScheme,
-			verify:       *sVerify,
-			compareFull:  *sCompare,
-			format:       *format,
-		})
+		runSampled(&w, p, m, plan, sample.Options{
+			Budget:       *budget,
+			Config:       cfg,
+			NewPredictor: newPredictor,
+			NewScheme:    newScheme,
+			Verify:       *sVerify,
+			Pool: func(n int, run func(i int)) error {
+				return experiments.Pool(experiments.Options{}, n, run)
+			},
+		}, *sCompare, *format)
 		return
 	}
 
-	predictor := newPredictor()
-	var scheme ooo.Scheme
-	var acb *core.ACB
-	if newScheme != nil {
-		scheme = newScheme()
-		acb, _ = scheme.(*core.ACB)
-	}
-
+	predictor, scheme := newPredictor(), newScheme()
+	acb, _ := scheme.(*core.ACB)
 	simCore := ooo.NewWithMemory(cfg, p, predictor, scheme, m)
 	if *pipe {
 		simCore.EnablePipeStats()
@@ -165,16 +125,7 @@ func main() {
 	}
 
 	if *format != "ascii" {
-		t := resultTable(&w, cfg, predictor, &res)
-		if *format == "json" {
-			b, err := t.MarshalJSON()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(string(b))
-		} else {
-			fmt.Print(t.CSV())
-		}
+		emit(resultTable(&w, cfg, predictor, &res), *format)
 		return
 	}
 
@@ -224,34 +175,15 @@ func main() {
 	}
 }
 
-type sampledOpts struct {
-	budget       int64
-	newPredictor func() bpu.Predictor
-	newScheme    func() ooo.Scheme
-	verify       bool
-	compareFull  bool
-	format       string
-}
-
 // runSampled performs the SMARTS-style sampled run (and, with
-// -sample-compare-full, the full detailed run it estimates), printing the
-// estimate in the requested format. Window jobs fan out over the
+// compareFull, the full detailed run it estimates), printing the estimate
+// in the requested format. Window jobs fan out over opts.Pool, the
 // experiments worker pool, so a sampled run uses every core even for a
 // single workload.
-func runSampled(w *workload.Workload, cfg config.Core, p []isa.Instruction, m *isa.Memory, plan sample.Plan, o sampledOpts) {
-	opts := sample.Options{
-		Budget:       o.budget,
-		Config:       cfg,
-		NewPredictor: o.newPredictor,
-		NewScheme:    o.newScheme,
-		Verify:       o.verify,
-		Pool: func(n int, run func(i int)) error {
-			return experiments.Pool(experiments.Options{}, n, run)
-		},
-	}
-
+func runSampled(w *workload.Workload, p []isa.Instruction, m *isa.Memory, plan sample.Plan, opts sample.Options, compareFull bool, format string) {
+	cfg := opts.Config
 	sampledStart := time.Now()
-	est, err := sample.Run(p, m.Clone(), plan, opts)
+	est, err := sample.Run(p, m, plan, opts)
 	if err != nil {
 		fail(err)
 	}
@@ -259,14 +191,10 @@ func runSampled(w *workload.Workload, cfg config.Core, p []isa.Instruction, m *i
 
 	var fullCPI float64
 	var fullWall time.Duration
-	if o.compareFull {
-		var scheme ooo.Scheme
-		if o.newScheme != nil {
-			scheme = o.newScheme()
-		}
+	if compareFull {
 		fullStart := time.Now()
-		full := ooo.NewWithMemory(cfg, p, o.newPredictor(), scheme, m)
-		res, err := full.Run(o.budget)
+		full := ooo.NewWithMemory(cfg, p, opts.NewPredictor(), opts.NewScheme(), m)
+		res, err := full.Run(opts.Budget)
 		if err != nil {
 			fail(err)
 		}
@@ -274,7 +202,7 @@ func runSampled(w *workload.Workload, cfg config.Core, p []isa.Instruction, m *i
 		fullCPI = float64(res.Cycles) / float64(res.Retired)
 	}
 
-	if o.format != "ascii" {
+	if format != "ascii" {
 		t := stats.NewTable("metric", "value")
 		t.AddRow("workload", w.Name)
 		t.AddRow("config", cfg.Name)
@@ -289,21 +217,13 @@ func runSampled(w *workload.Workload, cfg config.Core, p []isa.Instruction, m *i
 		t.AddRow("est-cycles", est.EstCycles)
 		t.AddRow("boundary-diffs", est.BoundaryFailures)
 		t.AddRow("sampled-wall-ms", sampledWall.Milliseconds())
-		if o.compareFull {
+		if compareFull {
 			t.AddRow("full-cpi", fmt.Sprintf("%.6f", fullCPI))
 			t.AddRow("cpi-error-pct", fmt.Sprintf("%.4f", est.CPIErrorPct(fullCPI)))
 			t.AddRow("full-wall-ms", fullWall.Milliseconds())
 			t.AddRow("sampled-speedup-x", fmt.Sprintf("%.2f", float64(fullWall)/float64(sampledWall)))
 		}
-		if o.format == "json" {
-			b, err := t.MarshalJSON()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(string(b))
-		} else {
-			fmt.Print(t.CSV())
-		}
+		emit(t, format)
 		return
 	}
 
@@ -314,7 +234,7 @@ func runSampled(w *workload.Workload, cfg config.Core, p []isa.Instruction, m *i
 	fmt.Printf("measured      %d of %d instrs (%.1f%% detailed)   est cycles %d\n",
 		est.MeasuredInstrs, est.TotalInstrs,
 		100*float64(est.MeasuredInstrs)/float64(est.TotalInstrs), est.EstCycles)
-	if o.verify {
+	if opts.Verify {
 		fmt.Printf("boundaries    %d windows verified, %d diverged\n", len(est.Windows), est.BoundaryFailures)
 		for _, win := range est.Windows {
 			if win.BoundaryDiff != "" {
@@ -323,7 +243,7 @@ func runSampled(w *workload.Workload, cfg config.Core, p []isa.Instruction, m *i
 		}
 	}
 	fmt.Printf("wall          sampled %d ms\n", sampledWall.Milliseconds())
-	if o.compareFull {
+	if compareFull {
 		fmt.Printf("full CPI      %.4f in %d ms — sampled error %+.2f%%, speedup %.1fx\n",
 			fullCPI, fullWall.Milliseconds(), est.CPIErrorPct(fullCPI),
 			float64(fullWall)/float64(sampledWall))
@@ -361,6 +281,15 @@ func resultTable(w *workload.Workload, cfg config.Core, pred bpu.Predictor, res 
 	t.AddRow("llc-misses", res.LLCMisses)
 	t.AddRow("load-forwards", res.LoadForwards)
 	return t
+}
+
+// emit prints t in format.
+func emit(t *stats.Table, format string) {
+	out, err := t.Render(format)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Print(out)
 }
 
 func fail(err error) {

@@ -7,7 +7,8 @@
 //	acbsweep -experiment all -format csv
 //
 // Experiments: fig1 fig6 fig7 fig8 fig9 fig10 fig11 scaling power census
-// table1 table3 all (plus sens-* and multirecon; see -h).
+// table1 table3 all (plus sampled-fig6, sens-*, multirecon and ablations;
+// see -h).
 package main
 
 import (
@@ -31,29 +32,19 @@ func main() {
 		names     = flag.String("workloads", "", "comma-separated workload selectors: names, trace:<file>, tier=adversarial (default: full suite)")
 		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 		format    = flag.String("format", "ascii", "table rendering: json | csv | ascii")
-		csv       = flag.Bool("csv", false, "deprecated alias for -format csv")
 		plot      = flag.Bool("plot", false, "render ASCII charts alongside the tables")
-		verbose   = flag.Bool("v", false, "per-run progress and runner stats on stderr")
+		verbose   = flag.Bool("v", false, "per-run progress and runner stats (simulations run, memo hits excluded) on stderr")
 		listNames = flag.Bool("list", false, "list workloads and exit")
 	)
 	flag.Parse()
-	if *csv {
-		*format = "csv"
-	}
-	render := renderer(*format)
-	if render == nil {
-		fmt.Fprintf(os.Stderr, "unknown format %q (want json, csv or ascii)\n", *format)
-		os.Exit(1)
+	if _, err := new(stats.Table).Render(*format); err != nil {
+		fail(err) // before any simulation runs
 	}
 
 	if *listNames {
-		for _, w := range workload.All() {
+		advs, _ := workload.Adversarial() // an unreadable corpus lists as empty
+		for _, w := range append(workload.All(), advs...) {
 			fmt.Printf("%-12s %-8s %s\n", w.Name, w.Category, w.Mirrors)
-		}
-		if advs, err := workload.Adversarial(); err == nil {
-			for _, w := range advs {
-				fmt.Printf("%-12s %-8s %s\n", w.Name, w.Category, w.Mirrors)
-			}
 		}
 		return
 	}
@@ -63,8 +54,7 @@ func main() {
 	if *names != "" {
 		ws, err := workload.Expand(strings.Split(*names, ","))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		opts.Workloads = append(opts.Workloads, ws...)
 	}
@@ -86,7 +76,11 @@ func main() {
 		ran = true
 		fmt.Printf("== %s ==\n", e.Name)
 		t := e.Func(opts)
-		fmt.Print(render(t))
+		out, err := t.Render(*format)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Print(out)
 		if *plot {
 			fmt.Println()
 			fmt.Print(renderPlot(e.Name, t))
@@ -94,35 +88,11 @@ func main() {
 		fmt.Println()
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(1)
+		fail(fmt.Errorf("unknown experiment %q", *exp))
 	}
-	if *verbose && runStats.Jobs() > 0 {
+	if *verbose && runStats.Simulations() > 0 {
 		fmt.Fprintf(os.Stderr, "runner total: %s\n", runStats)
 	}
-}
-
-// renderer returns the table-to-string function for a -format value (nil
-// for an unknown format). JSON goes through stats.Table.MarshalJSON — the
-// same serialization the acbd API serves, so a piped `acbsweep -format
-// json` and a `GET /v1/results/{key}` are interchangeable.
-func renderer(format string) func(*stats.Table) string {
-	switch format {
-	case "json":
-		return func(t *stats.Table) string {
-			b, err := t.MarshalJSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return string(b) + "\n"
-		}
-	case "csv":
-		return (*stats.Table).CSV
-	case "ascii":
-		return (*stats.Table).String
-	}
-	return nil
 }
 
 // renderPlot draws an ASCII chart for the figure tables that benefit from
@@ -184,4 +154,9 @@ func renderPlot(name string, t *stats.Table) string {
 		return s.String()
 	}
 	return ""
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

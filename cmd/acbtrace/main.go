@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"os"
 
-	"acb/internal/bpu"
 	"acb/internal/config"
 	"acb/internal/core"
 	"acb/internal/critpath"
+	"acb/internal/experiments"
 	"acb/internal/ooo"
 	"acb/internal/prog"
 	"acb/internal/workload"
@@ -35,17 +35,32 @@ func main() {
 		steps  = flag.Int64("steps", 200_000, "trace length for critpath mode")
 		budget = flag.Int64("budget", 400_000, "retired-instruction budget for trace mode")
 		format = flag.String("format", "chrome", "trace mode output: chrome | text")
-		scheme = flag.String("scheme", "acb", "trace mode scheme: acb | baseline")
+		scheme = flag.String("scheme", "acb", "trace mode scheme, as for acbsim -scheme")
 		cap    = flag.Int("trace-cap", ooo.DefaultTraceCap, "event-ring capacity for trace mode (oldest events drop beyond it)")
 	)
 	flag.Parse()
 
 	w, err := workload.Resolve(*name)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
 	p, m := w.Build()
+	capture := func() []critpath.Event {
+		opts := critpath.DefaultCaptureOptions()
+		opts.Steps = *steps
+		return critpath.Capture(p, m, opts)
+	}
+	// output opens -o, or stdout; the process exit closes it.
+	output := func() *os.File {
+		if *out == "" {
+			return os.Stdout
+		}
+		f, err := os.Create(*out)
+		if err != nil {
+			fail(err)
+		}
+		return f
+	}
 
 	switch *mode {
 	case "disasm":
@@ -58,9 +73,7 @@ func main() {
 		}
 
 	case "critpath":
-		opts := critpath.DefaultCaptureOptions()
-		opts.Steps = *steps
-		trace := critpath.Capture(p, m, opts)
+		trace := capture()
 		res := critpath.Analyze(trace, critpath.DefaultModel())
 		on, total := critpath.MispredictsOnPath(trace, res)
 		fmt.Printf("workload          %s (%s)\n", w.Name, w.Category)
@@ -75,29 +88,14 @@ func main() {
 		}
 
 	case "export":
-		opts := critpath.DefaultCaptureOptions()
-		opts.Steps = *steps
-		trace := critpath.Capture(p, m, opts)
-		dst := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			dst = f
-		}
-		if err := critpath.WriteJSONL(dst, trace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		trace := capture()
+		if err := critpath.WriteJSONL(output(), trace); err != nil {
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d events\n", len(trace))
 
 	case "attribute":
-		opts := critpath.DefaultCaptureOptions()
-		opts.Steps = *steps
-		trace := critpath.Capture(p, m, opts)
+		trace := capture()
 		att := critpath.Attribute(trace, critpath.DefaultModel())
 		fmt.Printf("critical path: %d cycles over %d instructions\n\n", att.TotalCycles, len(trace))
 		fmt.Println("top misprediction contributors (the ACB criticality targets):")
@@ -112,16 +110,19 @@ func main() {
 		}
 
 	case "trace":
-		var sch ooo.Scheme
-		switch *scheme {
-		case "acb":
-			sch = core.New(core.DefaultConfig())
-		case "baseline":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown scheme %q (want acb or baseline)\n", *scheme)
-			os.Exit(1)
+		if *format != "chrome" && *format != "text" {
+			fail(fmt.Errorf("unknown format %q (want chrome or text)", *format))
 		}
-		c := ooo.NewWithMemory(config.Skylake(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), sch, m)
+		eng, err := experiments.LookupEngine(*scheme)
+		if err != nil {
+			fail(err)
+		}
+		newPredictor, newScheme, err := eng.Constructors(&w)
+		if err != nil {
+			fail(err)
+		}
+		sch := newScheme()
+		c := ooo.NewWithMemory(config.Skylake(), p, newPredictor(), sch, m)
 		ring := c.EnableTrace(*cap)
 		if acb, ok := sch.(*core.ACB); ok {
 			acb.SetTrace(ring)
@@ -129,34 +130,19 @@ func main() {
 		c.EnableCPIStack()
 		res, err := c.Run(*budget)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		dst := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			dst = f
-		}
+		dst := output()
 		events := ring.Events()
-		switch *format {
-		case "chrome":
+		if *format == "chrome" {
 			if err := ooo.WriteChromeTrace(dst, events); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fail(err)
 			}
-		case "text":
+		} else {
 			for _, ev := range events {
 				fmt.Fprintf(dst, "cycle=%-8d %-14s pc=%-5d ctx=%-4d arg=%d\n",
 					ev.Cycle, ev.Kind, ev.PC, ev.Ctx, ev.Arg)
 			}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown format %q (want chrome or text)\n", *format)
-			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "%s/%s: %d events (%d dropped), IPC=%.3f\n",
 			w.Name, res.Scheme, len(events), ring.Dropped(), res.IPC)
@@ -165,7 +151,11 @@ func main() {
 		}
 
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(1)
+		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

@@ -11,6 +11,35 @@
 // update (Sec. V-C, [30]).
 package bpu
 
+import (
+	"fmt"
+	"strings"
+)
+
+// Names lists the predictors New builds, the set acbsim's -predictor and
+// the sens-predictor experiment choose from.
+func Names() []string { return []string{"tage", "gshare", "bimodal", "perceptron", "oracle"} }
+
+// New returns a fresh predictor by name, at the sizes every comparison in
+// this repository uses: TAGE in its default configuration, 16K-entry
+// bimodal and gshare (16 history bits) tables, a 1K-entry perceptron over
+// 32 history bits, and the oracle.
+func New(name string) (Predictor, error) {
+	switch name {
+	case "tage":
+		return NewTAGE(DefaultTAGEConfig()), nil
+	case "gshare":
+		return NewGShare(14, 16), nil
+	case "bimodal":
+		return NewBimodal(14), nil
+	case "perceptron":
+		return NewPerceptron(10, 32), nil
+	case "oracle":
+		return NewOracle(), nil
+	}
+	return nil, fmt.Errorf("bpu: unknown predictor %q (want %s)", name, strings.Join(Names(), ", "))
+}
+
 // Prediction carries a direction prediction together with the metadata the
 // predictor needs to train itself later. The core stores the Prediction in
 // the instruction's ROB entry and hands it back at retirement.

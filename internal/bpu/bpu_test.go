@@ -220,6 +220,26 @@ func TestPredictorNames(t *testing.T) {
 	}
 }
 
+// TestNewByName: every listed name builds a fresh predictor of that name,
+// and an unknown name is an error.
+func TestNewByName(t *testing.T) {
+	for _, name := range Names() {
+		p, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name() != name {
+			t.Errorf("New(%q).Name() = %q", name, p.Name())
+		}
+		if q, _ := New(name); q == p {
+			t.Errorf("New(%q) returned the same predictor twice", name)
+		}
+	}
+	if _, err := New("tage2"); err == nil {
+		t.Error("New accepted an unknown predictor")
+	}
+}
+
 func TestTAGEInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -59,7 +59,7 @@ func DefaultConfig() Config {
 		WindowInstrs:    200_000,
 		ApplyThreshold:  32,
 		// The ROB-quartile refinement (Sec. III-A) is an ablation knob
-		// (BenchmarkAblationROBFrac); the frequency filter alone is the
+		// (the ablations experiment); the frequency filter alone is the
 		// default, which also lets shadowed mispredictions train (the
 		// paper's soplex outlier shows ACB predicating them).
 		ROBFracLimit: 0,

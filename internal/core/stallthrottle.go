@@ -8,7 +8,7 @@ package core
 // predication was favorable as saved pipeline flushes outweighed the
 // additional stalls" — and it is kept here as the ablation baseline that
 // motivates Dynamo (core.Config.Throttle = ThrottleStalls,
-// BenchmarkAblationThrottle).
+// the ablations experiment).
 type StallThrottle struct {
 	// StallLimit is the per-instance average body-stall budget (in gated
 	// wakeup attempts) above which an entry is disabled.

@@ -30,7 +30,16 @@ func NewCPIAccumulator() *CPIAccumulator {
 }
 
 // Add folds one simulation's CPI stack into the scheme's totals.
-func (a *CPIAccumulator) Add(scheme string, s *ooo.CPIStack) {
+func (a *CPIAccumulator) Add(scheme string, s *ooo.CPIStack) { a.add(scheme, s.Cycles, s.Buckets()) }
+
+// Merge folds another accumulator's totals into this one.
+func (a *CPIAccumulator) Merge(other *CPIAccumulator) {
+	for scheme, t := range other.Snapshot() {
+		a.add(scheme, t.Cycles, t.Buckets)
+	}
+}
+
+func (a *CPIAccumulator) add(scheme string, cycles int64, buckets []int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t := a.schemes[scheme]
@@ -38,26 +47,9 @@ func (a *CPIAccumulator) Add(scheme string, s *ooo.CPIStack) {
 		t = &CPITotals{Buckets: make([]int64, len(ooo.CPIBucketNames))}
 		a.schemes[scheme] = t
 	}
-	t.Cycles += s.Cycles
-	for i, v := range s.Buckets() {
+	t.Cycles += cycles
+	for i, v := range buckets {
 		t.Buckets[i] += v
-	}
-}
-
-// Merge folds another accumulator's totals into this one.
-func (a *CPIAccumulator) Merge(other *CPIAccumulator) {
-	for scheme, t := range other.Snapshot() {
-		a.mu.Lock()
-		dst := a.schemes[scheme]
-		if dst == nil {
-			dst = &CPITotals{Buckets: make([]int64, len(ooo.CPIBucketNames))}
-			a.schemes[scheme] = dst
-		}
-		dst.Cycles += t.Cycles
-		for i, v := range t.Buckets {
-			dst.Buckets[i] += v
-		}
-		a.mu.Unlock()
 	}
 }
 

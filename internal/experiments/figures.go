@@ -22,15 +22,11 @@ var (
 )
 
 func workloadsNamed(names []string) []workload.Workload {
-	var out []workload.Workload
-	for _, n := range names {
-		w, err := workload.ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, w)
+	ws, err := workload.Expand(names)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return ws
 }
 
 // Figure1 reproduces the paper's Fig. 1: speedup of a perfect branch
@@ -38,13 +34,19 @@ func workloadsNamed(names []string) []workload.Workload {
 // (1x/2x/3x width and depth). The paper's shape: the potential grows with
 // scaling (≈2x more speculation-bound at 3x).
 func Figure1(opts Options) *stats.Table {
+	return configTable(opts, "geomean-speedup-perfectBP", SchemePerfectBP,
+		config.Scaled(1), config.Scaled(2), config.Scaled(3))
+}
+
+// configTable tabulates kind's geomean speedup over the baseline on each
+// core configuration.
+func configTable(opts Options, column string, kind SchemeKind, cfgs ...config.Core) *stats.Table {
 	opts.fill()
-	t := stats.NewTable("config", "geomean-speedup-perfectBP")
-	for _, factor := range []int{1, 2, 3} {
+	t := stats.NewTable("config", column)
+	for _, cfg := range cfgs {
 		o := opts
-		o.Config = config.Scaled(factor)
-		res := sweep(o, SchemeBaseline, SchemePerfectBP)
-		t.AddRow(o.Config.Name, geomeanSpeedup(res, SchemeBaseline, SchemePerfectBP))
+		o.Config = cfg
+		t.AddRow(cfg.Name, geomeanSpeedup(sweep(o, SchemeBaseline, kind), SchemeBaseline, kind))
 	}
 	return t
 }
@@ -171,20 +173,28 @@ func ratio64(a, b int64) float64 { return stats.Ratio(float64(a), float64(b)) }
 // ~8.0% and contains the worst no-Dynamo outliers (≈-20%); DMP wins B1/B2
 // classes but inverts on C/D/E.
 func Figure8(opts Options) *stats.Table {
+	return speedupTable(opts, SchemeACB, SchemeACBNoDynamo, SchemeDMP)
+}
+
+// speedupTable sweeps the baseline and kinds and tabulates each kind's
+// speedup over the baseline per workload, then their geomeans.
+func speedupTable(opts Options, kinds ...SchemeKind) *stats.Table {
 	opts.fill()
-	res := sweep(opts, SchemeBaseline, SchemeACB, SchemeACBNoDynamo, SchemeDMP)
-	t := stats.NewTable("workload", "acb", "acb-nodynamo", "dmp")
-	for _, w := range opts.Workloads {
-		r := res[w.Name]
-		t.AddRow(w.Name,
-			speedup(r[SchemeBaseline], r[SchemeACB]),
-			speedup(r[SchemeBaseline], r[SchemeACBNoDynamo]),
-			speedup(r[SchemeBaseline], r[SchemeDMP]))
+	res := sweep(opts, append([]SchemeKind{SchemeBaseline}, kinds...)...)
+	header, geomeans := []string{"workload"}, []interface{}{"GEOMEAN"}
+	for _, k := range kinds {
+		header = append(header, string(k))
+		geomeans = append(geomeans, geomeanSpeedup(res, SchemeBaseline, k))
 	}
-	t.AddRow("GEOMEAN",
-		geomeanSpeedup(res, SchemeBaseline, SchemeACB),
-		geomeanSpeedup(res, SchemeBaseline, SchemeACBNoDynamo),
-		geomeanSpeedup(res, SchemeBaseline, SchemeDMP))
+	t := stats.NewTable(header...)
+	for _, w := range opts.Workloads {
+		row := []interface{}{w.Name}
+		for _, k := range kinds {
+			row = append(row, speedup(res[w.Name][SchemeBaseline], res[w.Name][k]))
+		}
+		t.AddRow(row...)
+	}
+	t.AddRow(geomeans...)
 	return t
 }
 
@@ -244,34 +254,14 @@ func Figure10(opts Options) *stats.Table {
 // is coverage-limited (simple short hammocks only) and lands near half of
 // ACB's gain; many workloads show no DHP sensitivity at all.
 func Figure11(opts Options) *stats.Table {
-	opts.fill()
-	res := sweep(opts, SchemeBaseline, SchemeACB, SchemeDHP)
-	t := stats.NewTable("workload", "acb", "dhp")
-	for _, w := range opts.Workloads {
-		r := res[w.Name]
-		t.AddRow(w.Name,
-			speedup(r[SchemeBaseline], r[SchemeACB]),
-			speedup(r[SchemeBaseline], r[SchemeDHP]))
-	}
-	t.AddRow("GEOMEAN",
-		geomeanSpeedup(res, SchemeBaseline, SchemeACB),
-		geomeanSpeedup(res, SchemeBaseline, SchemeDHP))
-	return t
+	return speedupTable(opts, SchemeACB, SchemeDHP)
 }
 
 // CoreScaling reproduces Sec. V-D: ACB's geomean gain on the baseline core
 // vs an 8-wide core with doubled resources. Paper shape: the gain grows
 // (8.0% -> 8.6%).
 func CoreScaling(opts Options) *stats.Table {
-	opts.fill()
-	t := stats.NewTable("config", "acb-geomean-speedup")
-	for _, cfg := range []config.Core{config.Skylake(), config.Future()} {
-		o := opts
-		o.Config = cfg
-		res := sweep(o, SchemeBaseline, SchemeACB)
-		t.AddRow(cfg.Name, geomeanSpeedup(res, SchemeBaseline, SchemeACB))
-	}
-	return t
+	return configTable(opts, "acb-geomean-speedup", SchemeACB, config.Skylake(), config.Future())
 }
 
 // PowerProxy reproduces Sec. V-E's qualitative power analysis: total OOO
@@ -301,7 +291,6 @@ func PowerProxy(opts Options) *stats.Table {
 func MispredictCensus(opts Options) *stats.Table {
 	opts.fill()
 	t := stats.NewTable("workload", "pcs-for-95%", "convergent-%", "loop-%", "nonconv-%")
-	cache := newProfileCache()
 	type censusRow struct {
 		pcs95               int
 		conv, loop, nonconv float64
@@ -309,7 +298,7 @@ func MispredictCensus(opts Options) *stats.Table {
 	rows := make([]censusRow, len(opts.Workloads))
 	runPool(&opts, len(opts.Workloads), func(i int) {
 		w := &opts.Workloads[i]
-		res := runOne(&opts, cache, w, SchemeBaseline)
+		res := opts.simulate(w, catalogue[SchemeBaseline]).res
 
 		type pcMiss struct {
 			pc   int

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"acb/internal/bpu"
 	"acb/internal/core"
-	"acb/internal/ooo"
 	"acb/internal/stats"
 	"acb/internal/workload"
 )
@@ -30,31 +28,20 @@ func b1Workload() workload.Spec {
 func MultiRecon(opts Options) *stats.Table {
 	opts.fill()
 	spec := b1Workload()
-	p, m := spec.Build()
-
-	plain := core.New(core.DefaultConfig())
-	mrCfg := core.DefaultConfig()
-	mrCfg.MultiRecon = true
-	mr := core.New(mrCfg)
-
-	// The three variants are independent simulations over clones of the
-	// same image, so they fan out on the pool like any other jobs.
-	schemes := []ooo.Scheme{nil, plain, mr}
-	results := make([]ooo.Result, len(schemes))
-	runPool(&opts, len(schemes), func(i int) {
-		c := ooo.NewWithMemory(opts.Config, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), schemes[i], m.Clone())
-		res, err := c.Run(opts.Budget)
-		if err != nil {
-			panic(err)
-		}
-		results[i] = res
-	})
-	base, resPlain, resMR := results[0], results[1], results[2]
+	w := workload.Workload{Name: spec.Name, Spec: spec}
+	mr := acbWith(func(c *core.Config) { c.MultiRecon = true })
+	runs := runGrid(&opts, []workload.Workload{w}, []Engine{catalogue[SchemeBaseline], catalogue[SchemeACB], mr})[0]
+	base, resPlain, resMR := runs[0].res, runs[1].res, runs[2].res
+	// A run that a cancelled context skipped leaves its slot zero.
+	var promotions int64
+	if acb, ok := runs[2].scheme.(*core.ACB); ok {
+		promotions = acb.ReconPromotions
+	}
 
 	t := stats.NewTable("scheme", "speedup", "div-flushes/k", "predications", "recon-promotions")
 	t.AddRow("baseline", 1.0, perKilo(base.DivFlushes, base.Retired), base.Predications, 0)
 	t.AddRow("acb", speedup(base, resPlain), perKilo(resPlain.DivFlushes, resPlain.Retired), resPlain.Predications, 0)
-	t.AddRow("acb-mr", speedup(base, resMR), perKilo(resMR.DivFlushes, resMR.Retired), resMR.Predications, mr.ReconPromotions)
+	t.AddRow("acb-mr", speedup(base, resMR), perKilo(resMR.DivFlushes, resMR.Retired), resMR.Predications, promotions)
 	return t
 }
 

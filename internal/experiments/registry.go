@@ -42,6 +42,7 @@ var registry = []Experiment{
 	{"sens-critical", true, SensitivityCriticalTable},
 	{"sens-predictor", true, SensitivityPredictor},
 	{"multirecon", true, MultiRecon},
+	{"ablations", true, Ablations},
 }
 
 // Experiments returns the registry in presentation order.

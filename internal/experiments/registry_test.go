@@ -3,8 +3,13 @@ package experiments
 import (
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 	"time"
+
+	"acb/internal/bpu"
+	"acb/internal/core"
+	"acb/internal/ooo"
 )
 
 func TestRegistryLookup(t *testing.T) {
@@ -40,28 +45,125 @@ func TestRunMatchesDirectCall(t *testing.T) {
 }
 
 // TestRunCancelledContext: a cancelled context surfaces as an
-// errors.Is-able error, never as a panic or a partially-filled table.
+// errors.Is-able error, never as a panic or a partially-filled table, and
+// stops in-flight simulations mid-run — the sensitivity and multirecon
+// sweeps' included.
 func TestRunCancelledContext(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	opts := smallOpts(t, "lammps", "compression")
-	opts.Budget = 100_000_000 // would run for minutes uncancelled
-	ctx, cancel := context.WithCancel(context.Background())
-	opts.Context = ctx
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	tab, err := Run("fig6", opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, name := range []string{"fig6", "sens-n", "multirecon"} {
+		t.Run(name, func(t *testing.T) {
+			opts := smallOpts(t, "lammps", "compression")
+			opts.Budget = 100_000_000 // would run for minutes uncancelled
+			ctx, cancel := context.WithCancel(context.Background())
+			opts.Context = ctx
+			go func() {
+				time.Sleep(30 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			tab, err := Run(name, opts)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if tab != nil {
+				t.Fatal("cancelled Run returned a table")
+			}
+			if elapsed := time.Since(start); elapsed > 30*time.Second {
+				t.Fatalf("cancellation took %s; simulations did not stop mid-run", elapsed)
+			}
+		})
 	}
-	if tab != nil {
-		t.Fatal("cancelled Run returned a table")
+}
+
+// TestRunCountsCyclesAndCPI: every experiment's simulations report their
+// cycles and CPI stacks — the sensitivity and multirecon sweeps' too —
+// and sens-n runs each baseline once for all six window sizes.
+func TestRunCountsCyclesAndCPI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
 	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("cancellation took %s; simulations did not stop mid-run", elapsed)
+	for _, tc := range []struct {
+		name string
+		sims int64
+	}{
+		{"sens-n", 6 + 6*6},
+		{"multirecon", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Budget = 20_000
+			opts.Stats = &RunnerStats{}
+			opts.CPIStats = NewCPIAccumulator()
+			if _, err := Run(tc.name, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := opts.Stats.Simulations(); got != tc.sims {
+				t.Errorf("%d simulations, want %d", got, tc.sims)
+			}
+			if opts.Stats.Cycles() <= 0 {
+				t.Error("no simulated cycles counted")
+			}
+			var cpiCycles int64
+			for _, tot := range opts.CPIStats.Snapshot() {
+				cpiCycles += tot.Cycles
+			}
+			if cpiCycles != opts.Stats.Cycles() {
+				t.Errorf("CPI stacks cover %d cycles, the runs simulated %d", cpiCycles, opts.Stats.Cycles())
+			}
+		})
+	}
+}
+
+// TestMultiReconPromotionsFromItsRun: the recon-promotions column is the
+// promotion count of the multiple-reconvergence run itself.
+func TestMultiReconPromotionsFromItsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulations")
+	}
+	opts := DefaultOptions()
+	opts.Budget = 100_000
+	tab := MultiRecon(opts)
+
+	spec := b1Workload()
+	p, m := spec.Build()
+	cfg := core.DefaultConfig()
+	cfg.MultiRecon = true
+	acb := core.New(cfg)
+	if _, err := ooo.NewWithMemory(opts.Config, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), acb, m).Run(opts.Budget); err != nil {
+		t.Fatal(err)
+	}
+	if acb.ReconPromotions == 0 {
+		t.Fatal("the direct run promoted no reconvergence point; the check would be vacuous")
+	}
+	row := tab.Rows[len(tab.Rows)-1]
+	if want := strconv.FormatInt(acb.ReconPromotions, 10); row[0] != "acb-mr" || row[4] != want {
+		t.Fatalf("acb-mr row %v, want recon-promotions %s", row, want)
+	}
+}
+
+// BenchmarkExperiment runs each registered experiment once per iteration at
+// the default budget, on a fresh memo so every iteration simulates, and
+// reports allocations, simulated cycles per wall second and simulations
+// per run. It is the profiling entry point, e.g.
+//
+//	go test ./internal/experiments/ -run '^$' -bench 'Experiment/fig6$' \
+//	    -benchtime 1x -cpuprofile cpu.out
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			rs := &RunnerStats{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opts := DefaultOptions()
+				opts.Stats = rs
+				e.Func(opts)
+			}
+			if sims := rs.Simulations(); sims > 0 {
+				b.ReportMetric(float64(rs.Cycles())/b.Elapsed().Seconds(), "cycles/sec")
+				b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
+			}
+		})
 	}
 }

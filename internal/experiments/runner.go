@@ -4,10 +4,13 @@
 // data series the corresponding paper figure plots. EXPERIMENTS.md records
 // the paper-vs-measured comparison for each.
 //
-// Every (workload, scheme) simulation is independent and
-// seed-deterministic, so the harness fans them out over a bounded worker
-// pool (Options.Jobs); results are aggregated by job index, which makes
-// the emitted tables byte-identical whatever the job count.
+// Every simulation goes through one run path (Options.simulate), keyed by
+// everything that decides its result and memoized for the life of its
+// Options value, so experiments that share a simulation run it once.
+// Simulations are independent and seed-deterministic, so the harness fans
+// them out over a bounded worker pool (Options.Jobs); results are
+// aggregated by job index, which makes the emitted tables byte-identical
+// whatever the job count.
 package experiments
 
 import (
@@ -19,11 +22,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"acb/internal/bpu"
 	"acb/internal/config"
-	"acb/internal/core"
 	"acb/internal/dmp"
-	"acb/internal/isa"
 	"acb/internal/ooo"
 	"acb/internal/stats"
 	"acb/internal/workload"
@@ -38,7 +38,7 @@ type Options struct {
 	// Config defaults to the Skylake-like baseline.
 	Config config.Core
 	// Jobs bounds how many simulations run concurrently. 0 means
-	// runtime.GOMAXPROCS(0); 1 reproduces the serial runner exactly.
+	// runtime.GOMAXPROCS(0); 1 runs them one at a time, in order.
 	Jobs int
 	// Verbose emits per-run progress and a per-pool runner summary
 	// through Logf.
@@ -61,18 +61,27 @@ type Options struct {
 	// ooo.Core.RunContext). Callers must go through Run to observe the
 	// cancellation as an error; direct experiment calls panic instead.
 	Context context.Context
+
+	// memo is shared by every copy of an Options value made after
+	// DefaultOptions or fill created it: one acbsweep process, or one
+	// acbd job, runs each distinct simulation once.
+	memo *memo
 }
 
-// DefaultOptions returns the budget and configuration used by the bench
-// harness.
+// DefaultOptions returns the default budget and configuration, with a
+// fresh memo that every experiment run with (copies of) the value shares.
 func DefaultOptions() Options {
 	return Options{
 		Budget: 400_000,
 		Config: config.Skylake(),
+		memo:   &memo{},
 	}
 }
 
 func (o *Options) fill() {
+	if o.memo == nil {
+		o.memo = &memo{}
+	}
 	if o.Budget == 0 {
 		o.Budget = 400_000
 	}
@@ -102,84 +111,43 @@ func (o *Options) fill() {
 	}
 }
 
-// RunnerStats accumulates pool totals: jobs run, wall-clock time, the
-// cumulative single-threaded simulation time (whose ratio to wall time is
-// the effective parallel speedup), and total simulated cycles — the
-// numerator of the harness's own cycles-per-second throughput metric.
-type RunnerStats struct {
-	mu     sync.Mutex
-	jobs   int64
-	wall   time.Duration
-	sim    time.Duration
-	cycles int64
-}
+// RunnerStats accumulates runner totals: simulations run (a memo hit is
+// not one), pool wall-clock time, the cumulative single-threaded
+// simulation time (whose ratio to wall time is the effective parallel
+// speedup), and total simulated cycles — the numerator of the harness's
+// own cycles-per-second throughput metric.
+type RunnerStats struct{ sims, wall, sim, cycles atomic.Int64 }
 
-func (s *RunnerStats) add(jobs int, wall, sim time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs += int64(jobs)
-	s.wall += wall
-	s.sim += sim
-}
+// Simulations returns the number of simulations run.
+func (s *RunnerStats) Simulations() int64 { return s.sims.Load() }
 
-// AddCycles credits simulated cycles to the pool totals (called once per
-// completed simulation).
-func (s *RunnerStats) AddCycles(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cycles += n
-}
-
-// Cycles returns the total simulated cycles across pools.
-func (s *RunnerStats) Cycles() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cycles
-}
-
-// Jobs returns the total number of simulations dispatched.
-func (s *RunnerStats) Jobs() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs
-}
+// Cycles returns the total simulated cycles.
+func (s *RunnerStats) Cycles() int64 { return s.cycles.Load() }
 
 // Wall returns the cumulative wall-clock time across pools.
-func (s *RunnerStats) Wall() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wall
-}
+func (s *RunnerStats) Wall() time.Duration { return time.Duration(s.wall.Load()) }
 
 // Sim returns the cumulative single-threaded simulation time.
-func (s *RunnerStats) Sim() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sim
-}
+func (s *RunnerStats) Sim() time.Duration { return time.Duration(s.sim.Load()) }
 
 // Speedup returns cumulative simulation time / wall time (1.0 for a
 // serial run, approaching the worker count under ideal scaling). The
 // second return is false when no wall time has accumulated yet — i.e.
 // there is no measurement, as opposed to a measured 0x.
 func (s *RunnerStats) Speedup() (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wall <= 0 {
+	if s.Wall() <= 0 {
 		return 0, false
 	}
-	return float64(s.sim) / float64(s.wall), true
+	return float64(s.Sim()) / float64(s.Wall()), true
 }
 
 func (s *RunnerStats) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp := "n/a (no runs)"
-	if s.wall > 0 {
-		sp = fmt.Sprintf("%.2fx", float64(s.sim)/float64(s.wall))
+	if x, ok := s.Speedup(); ok {
+		sp = fmt.Sprintf("%.2fx", x)
 	}
-	return fmt.Sprintf("%d jobs, wall %s, sim %s, effective speedup %s",
-		s.jobs, s.wall.Round(time.Millisecond), s.sim.Round(time.Millisecond), sp)
+	return fmt.Sprintf("%d simulations, wall %s, sim %s, effective speedup %s",
+		s.Simulations(), s.Wall().Round(time.Millisecond), s.Sim().Round(time.Millisecond), sp)
 }
 
 // poolError carries the first job failure out of a pool. It wraps the
@@ -198,30 +166,18 @@ func (e *poolError) Unwrap() error { return e.err }
 // Each job writes into its own pre-allocated result slot, so aggregation
 // order — and therefore every emitted table — is independent of
 // scheduling. A panic in any job is re-raised on the caller's goroutine
-// after the pool drains (as a *poolError when the job panicked with an
-// error). When opts.Context is cancelled, not-yet-started jobs are
+// after the pool drains, as a *poolError. opts must be filled. When
+// opts.Context is cancelled, not-yet-started jobs are
 // skipped, leaving their result slots zero — callers must treat a
 // cancelled context as poisoning the whole pool's output.
 func runPool(opts *Options, n int, run func(i int)) {
 	if n == 0 {
 		return
 	}
-	workers := opts.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
+	workers := min(opts.Jobs, n)
 	start := time.Now()
-	var sim atomic.Int64
 	var panicked atomic.Pointer[poolError]
-	timed := func(i int) {
+	guarded := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				err, ok := r.(error)
@@ -231,49 +187,31 @@ func runPool(opts *Options, n int, run func(i int)) {
 				panicked.CompareAndSwap(nil, &poolError{job: i, err: err})
 			}
 		}()
-		t0 := time.Now()
 		run(i)
-		sim.Add(int64(time.Since(t0)))
 	}
-
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			timed(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n || ctx.Err() != nil {
-						return
-					}
-					timed(i)
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || opts.Context.Err() != nil {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				guarded(i)
+			}
+		}()
 	}
+	wg.Wait()
 
 	wall := time.Since(start)
-	simTotal := time.Duration(sim.Load())
 	if opts.Stats != nil {
-		opts.Stats.add(n, wall, simTotal)
+		opts.Stats.wall.Add(int64(wall))
 	}
 	if opts.Verbose {
-		sp := 0.0
-		if wall > 0 {
-			sp = float64(simTotal) / float64(wall)
-		}
-		opts.Logf("runner: %d jobs on %d workers: wall %s, sim %s, %.2fx effective speedup",
-			n, workers, wall.Round(time.Millisecond), simTotal.Round(time.Millisecond), sp)
+		opts.Logf("runner: %d jobs on %d workers: wall %s", n, workers, wall.Round(time.Millisecond))
 	}
 	if p := panicked.Load(); p != nil {
 		panic(error(p))
@@ -293,11 +231,7 @@ func Pool(opts Options, n int, run func(i int)) (err error) {
 	opts.fill()
 	defer func() {
 		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = e
-				return
-			}
-			err = fmt.Errorf("experiments: pool job panicked: %v", r)
+			err = r.(error) // runPool re-panics with a *poolError
 		}
 	}()
 	runPool(&opts, n, run)
@@ -307,126 +241,99 @@ func Pool(opts Options, n int, run func(i int)) (err error) {
 	return nil
 }
 
-// SchemeKind names the simulation variants.
-type SchemeKind string
-
-// Variants.
-const (
-	SchemeBaseline    SchemeKind = "baseline"
-	SchemePerfectBP   SchemeKind = "perfect-bp"
-	SchemeACB         SchemeKind = "acb"
-	SchemeACBNoDynamo SchemeKind = "acb-nodynamo"
-	SchemeACBEager    SchemeKind = "acb-eager"
-	SchemeDMP         SchemeKind = "dmp"
-	SchemeDMPPBH      SchemeKind = "dmp-pbh"
-	SchemeDHP         SchemeKind = "dhp"
-)
-
-// profileCache caches DMP profiling results per workload (the compiler
-// pass runs once per binary, not once per simulation). It is
-// concurrency-safe with per-workload single-flight semantics: when
-// several schemes of the same workload are in flight at once, exactly one
-// runs dmp.Profile and the rest block on its entry.
-type profileCache struct {
-	mu   sync.Mutex
-	m    map[string]*profileEntry
-	runs atomic.Int64 // dmp.Profile executions, observable by tests
+// runKey identifies a simulation by everything that decides its result:
+// the workload (name and spec seed: every Build is the same image), the
+// whole core configuration, the engine, the budget, and whether the run
+// attributes a CPI stack.
+type runKey struct {
+	workload string
+	seed     uint64
+	config   config.Core
+	engine   Engine
+	budget   int64
+	cpi      bool
 }
 
-type profileEntry struct {
-	once sync.Once
-	c    []dmp.Candidate
+// run is a finished simulation: its result, and its scheme (nil for the
+// baseline) for reports that read the scheme's own counters.
+type run struct {
+	res    ooo.Result
+	scheme ooo.Scheme
 }
 
-func newProfileCache() *profileCache { return &profileCache{m: make(map[string]*profileEntry)} }
-
-func (pc *profileCache) get(w *workload.Workload, _ []isa.Instruction, _ *isa.Memory) []dmp.Candidate {
-	pc.mu.Lock()
-	e, ok := pc.m[w.Name]
-	if !ok {
-		e = &profileEntry{}
-		pc.m[w.Name] = e
+// simulate is the one run path: every simulation of every experiment
+// runs workload w on engine e here, through the Options' memo, so a
+// simulation already run (or running) under the same key is not run
+// again. A miss builds w's own image and the engine, runs under
+// o.Context, and counts the run's cycles, CPI stack and progress. A
+// failed or cancelled run panics with the wrapped error, which runPool
+// re-raises and Run recovers, so a cancellation stays errors.Is-able.
+func (o *Options) simulate(w *workload.Workload, e Engine) run {
+	if e.Predictor == "" {
+		e.Predictor = "tage"
 	}
-	pc.mu.Unlock()
-	e.once.Do(func() {
-		pc.runs.Add(1)
-		// The compiler pass profiles the *training* input (the paper's
-		// Sec. II-B/V-C point about input mismatch); the simulation then
-		// runs the actual input.
-		tp, tm := w.BuildTrain()
-		e.c = dmp.Profile(tp, tm, dmp.DefaultProfileConfig())
+	cpi := o.CollectCPI || o.CPIStats != nil
+	key := runKey{w.Name, w.Spec.Seed, o.Config, e, o.Budget, cpi}
+	return o.memo.runs.do(key, func() run {
+		newPredictor, newScheme, err := e.constructors(func() []dmp.Candidate {
+			return o.memo.profiles.do(profileKey{w.Name, w.Spec.Seed}, func() []dmp.Candidate { return profile(w) })
+		})
+		if err != nil {
+			panic(err)
+		}
+		p, m := w.Build()
+		scheme := newScheme()
+		c := ooo.NewWithMemory(o.Config, p, newPredictor(), scheme, m)
+		if cpi {
+			c.EnableCPIStack()
+		}
+		start := time.Now()
+		res, err := c.RunContext(o.Context, o.Budget)
+		if err != nil {
+			panic(fmt.Errorf("experiments: %s/%s/%s: %w", w.Name, e.Predictor, res.Scheme, err))
+		}
+		if o.Stats != nil {
+			o.Stats.sims.Add(1)
+			o.Stats.sim.Add(int64(time.Since(start)))
+			o.Stats.cycles.Add(res.Cycles)
+		}
+		if o.CPIStats != nil {
+			o.CPIStats.Add(res.Scheme, res.CPI)
+		}
+		o.Logf("%-12s %-10s %-18s IPC=%.3f flushes/k=%.2f", w.Name, e.Predictor, res.Scheme, res.IPC, res.FlushPerKilo())
+		return run{res, scheme}
 	})
-	return e.c
 }
 
-// runOne simulates one workload under one scheme variant.
-func runOne(opts *Options, cache *profileCache, w *workload.Workload, kind SchemeKind) ooo.Result {
-	p, m := w.Build()
-
-	var predictor bpu.Predictor = bpu.NewTAGE(bpu.DefaultTAGEConfig())
-	var scheme ooo.Scheme
-	switch kind {
-	case SchemeBaseline:
-	case SchemePerfectBP:
-		predictor = bpu.NewOracle()
-	case SchemeACB:
-		scheme = core.New(core.DefaultConfig())
-	case SchemeACBNoDynamo:
-		cfg := core.DefaultConfig()
-		cfg.UseDynamo = false
-		scheme = core.New(cfg)
-	case SchemeACBEager:
-		cfg := core.DefaultConfig()
-		cfg.Eager = true
-		scheme = core.New(cfg)
-	case SchemeDMP:
-		scheme = dmp.New(dmp.DefaultConfig(dmp.ModeDMP), cache.get(w, p, m))
-	case SchemeDMPPBH:
-		cfg := dmp.DefaultConfig(dmp.ModeDMP)
-		cfg.PerfectBranchHistory = true
-		scheme = dmp.New(cfg, cache.get(w, p, m))
-	case SchemeDHP:
-		scheme = dmp.New(dmp.DefaultConfig(dmp.ModeDHP), cache.get(w, p, m))
-	default:
-		panic(fmt.Sprintf("experiments: unknown scheme %q", kind))
+// runGrid simulates every workload on every engine on the worker pool and
+// returns the runs indexed [workload][engine].
+func runGrid(opts *Options, ws []workload.Workload, engines []Engine) [][]run {
+	ne := len(engines)
+	flat := make([]run, len(ws)*ne)
+	runPool(opts, len(flat), func(i int) {
+		flat[i] = opts.simulate(&ws[i/ne], engines[i%ne])
+	})
+	grid := make([][]run, len(ws))
+	for i := range grid {
+		grid[i] = flat[i*ne : (i+1)*ne]
 	}
-
-	c := ooo.NewWithMemory(opts.Config, p, predictor, scheme, m)
-	if opts.CollectCPI || opts.CPIStats != nil {
-		c.EnableCPIStack()
-	}
-	res, err := c.RunContext(opts.Context, opts.Budget)
-	if err != nil {
-		// Panic with the wrapped error (not a flattened string): runPool
-		// re-raises it and experiments.Run recovers it, so a context
-		// cancellation stays errors.Is-able all the way up.
-		panic(fmt.Errorf("experiments: %s/%s: %w", w.Name, kind, err))
-	}
-	if opts.CPIStats != nil && res.CPI != nil {
-		opts.CPIStats.Add(res.Scheme, res.CPI)
-	}
-	if opts.Stats != nil {
-		opts.Stats.AddCycles(res.Cycles)
-	}
-	opts.Logf("%-12s %-12s IPC=%.3f flushes/k=%.2f", w.Name, kind, res.IPC, res.FlushPerKilo())
-	return res
+	return grid
 }
 
 // sweep runs every workload under each scheme variant on the worker pool
 // and returns per-workload results keyed by scheme.
 func sweep(opts Options, kinds ...SchemeKind) map[string]map[SchemeKind]ooo.Result {
 	opts.fill()
-	cache := newProfileCache()
-	nk := len(kinds)
-	results := make([]ooo.Result, len(opts.Workloads)*nk)
-	runPool(&opts, len(results), func(i int) {
-		results[i] = runOne(&opts, cache, &opts.Workloads[i/nk], kinds[i%nk])
-	})
+	engines := make([]Engine, len(kinds))
+	for i, k := range kinds {
+		engines[i] = catalogue[k]
+	}
+	grid := runGrid(&opts, opts.Workloads, engines)
 	out := make(map[string]map[SchemeKind]ooo.Result, len(opts.Workloads))
-	for wi := range opts.Workloads {
-		res := make(map[SchemeKind]ooo.Result, nk)
+	for wi, runs := range grid {
+		res := make(map[SchemeKind]ooo.Result, len(kinds))
 		for ki, k := range kinds {
-			res[k] = results[wi*nk+ki]
+			res[k] = runs[ki].res
 		}
 		out[opts.Workloads[wi].Name] = res
 	}

@@ -45,7 +45,7 @@ func SampledFig6(opts Options) *stats.Table {
 		w := opts.Workloads[i]
 		p, m := w.Build()
 
-		full := runOne(&opts, nil, &w, SchemeBaseline)
+		full := opts.simulate(&w, catalogue[SchemeBaseline]).res
 		est, err := sample.Run(p, m, plan, sample.Options{
 			Budget:  opts.Budget,
 			Config:  opts.Config,

@@ -199,17 +199,11 @@ type MemDiff struct {
 
 // DiffWords returns up to max differing words between m and o in ascending
 // address order (all of them when max <= 0). Absent pages read as zero.
-//
-// It walks the pages in address order: the negative far pages, the dense
-// table, then the far pages above it. Only far pages need sorting, and a
-// memory without any (every suite image) sorts nothing.
 func (m *Memory) DiffWords(o *Memory, max int) []MemDiff {
 	var out []MemDiff
-	// diff appends page idx's differing words and reports whether out is
-	// full.
-	diff := func(idx int64, pa, pb *page) bool {
+	eachPage(m, o, func(idx int64, pa, pb *page) bool {
 		if pa == pb {
-			return false // COW-shared (or both absent): identical by construction
+			return true // COW-shared (or both absent): identical by construction
 		}
 		if pa == nil {
 			pa = &zeroPage
@@ -218,40 +212,63 @@ func (m *Memory) DiffWords(o *Memory, max int) []MemDiff {
 			pb = &zeroPage
 		}
 		if *pa == *pb {
-			return false
+			return true
 		}
 		for w := range pa {
 			if pa[w] != pb[w] {
 				out = append(out, MemDiff{Addr: idx<<PageShift + int64(w)*8, A: pa[w], B: pb[w]})
 				if max > 0 && len(out) >= max {
-					return true
+					return false
 				}
 			}
 		}
-		return false
-	}
-	far := farIndexes(m, o)
+		return true
+	})
+	return out
+}
+
+// Words calls yield with the address and value of every non-zero word in
+// ascending address order, until yield returns false. Unlike
+// DiffWords(NewMemory(), 0) it allocates nothing per word, so it streams
+// a multi-MB image.
+func (m *Memory) Words(yield func(addr, val int64) bool) {
+	eachPage(m, m, func(idx int64, p, _ *page) bool {
+		if p == nil {
+			return true
+		}
+		for w, v := range p {
+			if v != 0 && !yield(idx<<PageShift+int64(w)*8, v) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// eachPage calls f with every page index resident in a or b, ascending,
+// and the two memories' pages there (nil where absent), until f returns
+// false. It walks the negative far pages, the dense table, then the far
+// pages above it: only far pages need sorting, and a memory without any
+// (every suite image) sorts nothing.
+func eachPage(a, b *Memory, f func(idx int64, pa, pb *page) bool) {
+	far := farIndexes(a, b)
 	k := 0
 	for ; k < len(far) && far[k] < 0; k++ {
-		if diff(far[k], m.pageAt(far[k]), o.pageAt(far[k])) {
-			return out
+		if !f(far[k], a.pageAt(far[k]), b.pageAt(far[k])) {
+			return
 		}
 	}
-	n := int64(len(m.dense))
-	if int64(len(o.dense)) > n {
-		n = int64(len(o.dense))
-	}
+	n := int64(max(len(a.dense), len(b.dense)))
 	for i := int64(0); i < n; i++ {
-		if diff(i, m.pageAt(i), o.pageAt(i)) {
-			return out
+		if !f(i, a.pageAt(i), b.pageAt(i)) {
+			return
 		}
 	}
 	for ; k < len(far); k++ {
-		if diff(far[k], m.pageAt(far[k]), o.pageAt(far[k])) {
-			return out
+		if !f(far[k], a.pageAt(far[k]), b.pageAt(far[k])) {
+			return
 		}
 	}
-	return out
 }
 
 var zeroPage page

@@ -53,6 +53,17 @@ func (md memModel) diff(o memModel, max int) []MemDiff {
 	return out
 }
 
+// words collects up to max of m's non-zero words through Words (all of
+// them when max <= 0), in DiffWords' form against an empty memory.
+func words(m *Memory, max int) []MemDiff {
+	var out []MemDiff
+	m.Words(func(addr, val int64) bool {
+		out = append(out, MemDiff{Addr: addr, A: val})
+		return max <= 0 || len(out) < max
+	})
+	return out
+}
+
 // fuzzBases are the addresses FuzzMemory's accesses start from; each
 // access adds up to ±128 words, so they cross the pages on either side.
 var fuzzBases = []int64{
@@ -67,9 +78,10 @@ var fuzzBases = []int64{
 	math.MaxInt64 - 1<<10 + 1,    // the highest page
 }
 
-// FuzzMemory drives random Store, Load, CloneCOW, Clone, DiffWords, Equal
-// and Footprint sequences over a tree of up to eight memories made by
-// CloneCOW and Clone, and checks every result against a plain map model.
+// FuzzMemory drives random Store, Load, CloneCOW, Clone, DiffWords, Words,
+// Equal and Footprint sequences over a tree of up to eight memories made
+// by CloneCOW and Clone, and checks every result against a plain map
+// model.
 func FuzzMemory(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 0, 5, 2, 0, 0, 1, 3, 0, 0, 9, 1, 1, 3, 0, 0, 4, 0, 1, 2})
 	f.Add([]byte{0, 0, 6, 128, 0, 7, 0, 0, 5, 127, 7, 1, 2, 0, 0, 1, 6, 128, 0, 3, 4, 0, 1, 0})
@@ -120,6 +132,9 @@ func FuzzMemory(f *testing.F) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("DiffWords(%d, %d, %d) = %+v, model %+v", k, j, max, got, want)
 				}
+				if got, want := words(mems[k], max), models[k].diff(newMemModel(), max); !slices.Equal(got, want) {
+					t.Fatalf("memory %d: Words up to %d = %+v, model %+v", k, max, got, want)
+				}
 			case 5:
 				k, j := pick(), pick()
 				if got, want := mems[k].Equal(mems[j]), len(models[k].diff(models[j], 1)) == 0; got != want {
@@ -136,6 +151,9 @@ func FuzzMemory(f *testing.F) {
 		for k, m := range mems {
 			if got, want := m.DiffWords(NewMemory(), 0), models[k].diff(empty, 0); !slices.Equal(got, want) {
 				t.Fatalf("memory %d holds %+v, model %+v", k, got, want)
+			}
+			if got, want := words(m, 0), models[k].diff(empty, 0); !slices.Equal(got, want) {
+				t.Fatalf("memory %d: Words = %+v, model %+v", k, got, want)
 			}
 			if got, want := m.Footprint(), len(models[k].pages); got != want {
 				t.Fatalf("memory %d: Footprint = %d, model %d", k, got, want)

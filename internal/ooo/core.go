@@ -179,10 +179,11 @@ type Core struct {
 	onWrongPath bool
 	wrongTok    flushToken
 	tokGen      flushToken
+	// The last switch onto the wrong path (branch PC, cycle, cause),
+	// which the oracle-desync panics print.
 	dbgWrongPC  int
 	dbgWrongCyc int64
 	dbgWrongWhy string
-	dbgRing     []string
 
 	// Open predication context walk state.
 	ctx          *ctxState
@@ -469,7 +470,7 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 	// Per-cycle observers see every cycle individually, so they turn
 	// event-driven skipping off. The CPI stack does not: it charges a
 	// skipped stretch to the bucket of the cycle before it.
-	skippable := c.pipe == nil && c.trace == nil && c.dbgRing == nil
+	skippable := c.pipe == nil && c.trace == nil
 	var lastRetired int64
 	var stuck int64
 	var iter int64
@@ -661,29 +662,11 @@ func (c *Core) result(halted bool) Result {
 	return res
 }
 
-// dbgLog records a fetch/flush event in a small ring for panic dumps;
-// enabled when dbgRing is non-nil.
 // newTok mints a fresh, never-zero flush token.
 func (c *Core) newTok() flushToken {
 	c.tokGen++
 	return c.tokGen
 }
-
-func (c *Core) dbgLog(format string, args ...interface{}) {
-	if c.dbgRing == nil {
-		return
-	}
-	c.dbgRing = append(c.dbgRing, fmt.Sprintf("c%d: ", c.cycle)+fmt.Sprintf(format, args...))
-	if len(c.dbgRing) > 400 {
-		c.dbgRing = c.dbgRing[len(c.dbgRing)-400:]
-	}
-}
-
-// EnableDebugRing turns on the event ring (tests only).
-func (c *Core) EnableDebugRing() { c.dbgRing = make([]string, 0, 512) }
-
-// DebugRing returns the recorded events.
-func (c *Core) DebugRing() []string { return c.dbgRing }
 
 func (c *Core) schemeName() string {
 	if c.scheme == nil {

@@ -74,9 +74,6 @@ func (c *Core) fetchNormalSlot() (consumed, stop bool) {
 	inst := &c.prog[pc]
 	fi := c.newFetched(pc, inst)
 	trueKnown := !c.onWrongPath && !c.pathHalted
-	if c.dbgRing != nil {
-		c.dbgLog("fetch pc=%d wrong=%v oracle=%d", pc, c.onWrongPath, c.cur.pc)
-	}
 	if trueKnown && c.cur.pc != pc {
 		extra := fmt.Sprintf(" liveCtxs=%d snaps=%d pendingClose=%v lastWrong=%s@pc%d cyc%d",
 			len(c.liveCtxs), len(c.snapshots), c.pendingClose != nil, c.dbgWrongWhy, c.dbgWrongPC, c.dbgWrongCyc)
@@ -184,9 +181,6 @@ func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fet
 	fi.ctx = ctx
 	c.liveCtxs = append(c.liveCtxs, ctx)
 	c.s.fetchCtxOpens++
-	if c.dbgRing != nil {
-		c.dbgLog("openCtx ctx%d pc=%d recon=%d firstTaken=%v wrong=%v trueKnown=%v", ctx.id, pc, spec.ReconPC, spec.FirstTaken, ctx.wrongPath, trueKnown)
-	}
 	if c.trace != nil {
 		c.trace.Emit(EvDualFetchOpen, pc, ctx.id, int64(spec.ReconPC))
 	}
@@ -261,9 +255,6 @@ func (c *Core) fetchCtxSlot() (consumed, stop bool) {
 	}
 
 	pc := c.ctxNext
-	if c.dbgRing != nil {
-		c.dbgLog("ctxfetch ctx%d pc=%d phase=%d walkTaken=%v", ctx.id, pc, c.ctxPhase, c.ctxWalkTaken)
-	}
 	if pc < 0 || pc >= len(c.prog) || c.prog[pc].Op == isa.Halt {
 		c.divergeCtx(ctx, pc)
 		return false, false
@@ -331,9 +322,6 @@ func (c *Core) closeCtx(ctx *ctxState) {
 	c.ctx = nil
 	c.ctxPhase = 0
 	c.fetchPC = ctx.spec.ReconPC
-	if c.dbgRing != nil {
-		c.dbgLog("closeCtx ctx%d fetchPC=%d oracle=%d", ctx.id, c.fetchPC, c.cur.pc)
-	}
 	if c.trace != nil {
 		c.trace.Emit(EvReconverge, ctx.branchPC, ctx.id, int64(ctx.spec.ReconPC))
 	}
@@ -345,9 +333,6 @@ func (c *Core) closeCtx(ctx *ctxState) {
 func (c *Core) divergeCtx(ctx *ctxState, resumePC int) {
 	ctx.diverged = true
 	ctx.closed = true // the stalled branch may now schedule (divergence identifier)
-	if c.dbgRing != nil {
-		c.dbgLog("divergeCtx ctx%d resume=%d", ctx.id, resumePC)
-	}
 	if c.trace != nil {
 		c.trace.Emit(EvDiverge, ctx.branchPC, ctx.id, int64(resumePC))
 	}
@@ -358,9 +343,6 @@ func (c *Core) divergeCtx(ctx *ctxState, resumePC int) {
 		c.fetchParked = true
 	}
 	if !ctx.wrongPath {
-		if c.dbgRing != nil {
-			c.dbgLog("divergeCtx ctx%d sets wrongTok", ctx.id)
-		}
 		c.onWrongPath = true
 		c.wrongTok = ctx.tok
 		c.dbgWrongPC, c.dbgWrongCyc, c.dbgWrongWhy = ctx.branchPC, c.cycle, "divergence"

@@ -384,7 +384,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "acbd_store_peer_fetches_total{outcome=\"error\"} %d\n", peerErrs)
 
 	rs := srv.sched.RunnerStats()
-	counter("acbd_simulations_total", "Simulations dispatched onto the worker pool.", rs.Jobs())
+	counter("acbd_simulations_total", "Simulations run by the experiment runner (memo hits excluded).", rs.Simulations())
 	counter("acbd_sim_seconds_total", "Cumulative single-threaded simulation seconds.", rs.Sim().Seconds())
 	counter("acbd_wall_seconds_total", "Cumulative pool wall-clock seconds.", rs.Wall().Seconds())
 	// Emitted only once a measurement exists: "no runs yet" is the

@@ -175,7 +175,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// Identical resubmit: served from the store, no new simulation.
-	simsBefore := sched.RunnerStats().Jobs()
+	simsBefore := sched.RunnerStats().Simulations()
 	sr2, code := postJob(t, ts, Request{Experiment: "fig6", Workloads: []string{"lammps", "compression"}, Budget: 40_000})
 	if code != http.StatusOK {
 		t.Fatalf("resubmit status = %d, want 200", code)
@@ -189,7 +189,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	if sr2.ResultKey != st.ResultKey {
 		t.Fatal("identical request produced a different result key")
 	}
-	if sims := sched.RunnerStats().Jobs(); sims != simsBefore {
+	if sims := sched.RunnerStats().Simulations(); sims != simsBefore {
 		t.Fatalf("cache hit ran %d new simulations", sims-simsBefore)
 	}
 	if got := sched.Counters().Get("cache_hits"); got != 1 {

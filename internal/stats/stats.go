@@ -230,6 +230,22 @@ func (t *Table) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// Render renders the table in one of the -format values every CLI takes:
+// "json" (MarshalJSON's canonical form, as the acbd API serves it, plus a
+// newline), "csv" or "ascii".
+func (t *Table) Render(format string) (string, error) {
+	switch format {
+	case "json":
+		b, err := t.MarshalJSON()
+		return string(b) + "\n", err
+	case "csv":
+		return t.CSV(), nil
+	case "ascii":
+		return t.String(), nil
+	}
+	return "", fmt.Errorf("unknown format %q (want json, csv or ascii)", format)
+}
+
 // CSV renders the table as RFC 4180 comma-separated values: cells
 // containing a comma, quote or line break are quoted, with embedded
 // quotes doubled.

@@ -232,6 +232,23 @@ func TestTableJSONEmpty(t *testing.T) {
 	}
 }
 
+// TestTableRender: each -format value renders through the table's own
+// serializer (JSON with a trailing newline), and an unknown one is an
+// error.
+func TestTableRender(t *testing.T) {
+	tab := NewTable("a", "b")
+	tab.AddRow("x,y", 1.5)
+	js, _ := tab.MarshalJSON()
+	for format, want := range map[string]string{"json": string(js) + "\n", "csv": tab.CSV(), "ascii": tab.String()} {
+		if got, err := tab.Render(format); err != nil || got != want {
+			t.Errorf("Render(%q) = %q, %v; want %q", format, got, err, want)
+		}
+	}
+	if _, err := tab.Render("xml"); err == nil {
+		t.Error("Render accepted an unknown format")
+	}
+}
+
 func TestTableSortByColumn(t *testing.T) {
 	tb := NewTable("k", "v")
 	tb.AddRow("b", 3.0)

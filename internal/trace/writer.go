@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"sort"
 
 	"acb/internal/isa"
@@ -104,17 +105,30 @@ func (tw *Writer) PutMemory(m *isa.Memory) error {
 	if err := tw.section(blockMemory); err != nil {
 		return err
 	}
-	words := m.DiffWords(isa.NewMemory(), 0) // all non-zero words, ascending
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(words)))
+	// The first walk sizes the payload, so the second appends into one
+	// exact allocation: growing a multi-MB slice by append would allocate
+	// several times its length.
+	n, size := 0, 0
 	prev := int64(0)
-	for _, w := range words {
-		b = binary.AppendUvarint(b, zigzag(w.Addr-prev))
-		b = binary.AppendUvarint(b, zigzag(w.A))
-		prev = w.Addr
-	}
+	m.Words(func(addr, val int64) bool {
+		n++
+		size += uvarintLen(zigzag(addr-prev)) + uvarintLen(zigzag(val))
+		prev = addr
+		return true
+	})
+	b := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+size), uint64(n))
+	prev = 0
+	m.Words(func(addr, val int64) bool {
+		b = binary.AppendUvarint(b, zigzag(addr-prev))
+		b = binary.AppendUvarint(b, zigzag(val))
+		prev = addr
+		return true
+	})
 	return tw.writeBlock(blockMemory, b)
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // PutMergePoints embeds the static branch-PC -> reconvergence-PC table
 // (prog.CFG.AllReconvergences output), sorted by branch PC.
