@@ -45,7 +45,10 @@ func New(name string) (Predictor, error) {
 // the instruction's ROB entry and hands it back at retirement.
 type Prediction struct {
 	Taken bool
-	// Hist is the global history at prediction time.
+	// Hist is the global history at prediction time: History() just
+	// before the Predict call that returned this Prediction. The core
+	// keeps it as the branch's fetch-time history, for flush repair and
+	// the predication scheme (TestPredictionHistIsFetchHistory).
 	Hist uint64
 	// Provider/alt metadata (TAGE) or raw output (perceptron).
 	provider int // -1 = base table
@@ -69,7 +72,8 @@ type Prediction struct {
 // the Oracle predictor consults it.
 type Predictor interface {
 	// Predict returns the predicted direction for the conditional branch
-	// at pc.
+	// at pc. It does not change the global history, and the returned
+	// Prediction's Hist is that history.
 	Predict(pc uint64, oracleTaken bool) Prediction
 	// Update trains the predictor with the resolved outcome. pred must be
 	// the value returned by the corresponding Predict call.

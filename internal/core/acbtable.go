@@ -179,11 +179,16 @@ func (t *TrackingTable) Active() bool { return t.active }
 func (t *TrackingTable) Abort() { t.active = false }
 
 // Observe feeds one fetched PC; it returns (pc, true) when the monitored
-// instance failed to reach its reconvergence point in time.
+// instance failed to reach its reconvergence point in time. It inlines
+// to the idle test.
 func (t *TrackingTable) Observe(pc int) (int, bool) {
 	if !t.active {
 		return 0, false
 	}
+	return t.observe(pc)
+}
+
+func (t *TrackingTable) observe(pc int) (int, bool) {
 	if pc == t.reconPC {
 		t.active = false
 		return 0, false

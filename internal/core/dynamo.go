@@ -62,7 +62,7 @@ type Dynamo struct {
 	baselineCycles  int64 // cycles of the last completed disable-epoch
 	haveBaseline    bool
 
-	retiredTotal int64
+	retiredTotal int64 // retired instructions of the closed epochs
 	lastReset    int64
 
 	// Telemetry.
@@ -104,17 +104,20 @@ func (d *Dynamo) Involve(e *ACBEntry) {
 
 // Tick advances the monitor by one retired instruction at the given
 // cycle, closing epochs and applying FSM transitions at pair boundaries.
+// It inlines: only an epoch boundary calls out.
 func (d *Dynamo) Tick(cycle int64) {
-	d.retiredTotal++
 	d.epochRetired++
 	if d.epochStartCycle == 0 {
 		d.epochStartCycle = cycle
 	}
-	if d.epochRetired < d.cfg.EpochLen {
-		return
+	if d.epochRetired >= d.cfg.EpochLen {
+		d.endEpoch(cycle)
 	}
+}
 
-	// Epoch boundary.
+// endEpoch closes the epoch that ends at cycle.
+func (d *Dynamo) endEpoch(cycle int64) {
+	d.retiredTotal += d.epochRetired
 	cycles := saturate(cycle-d.epochStartCycle, d.cfg.CounterBits)
 	if d.enableEpoch() {
 		if d.haveBaseline {

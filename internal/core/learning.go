@@ -153,11 +153,15 @@ func (l *LearningTable) effPC() int {
 // pc of the fetched instruction; branch=true when it is the candidate's
 // conditional-branch PC class; taken/target describe the control transfer
 // the fetch followed; inContext marks instructions inside an open
-// predication context (ignored for arming).
+// predication context (ignored for arming). It inlines to the idle test.
 func (l *LearningTable) Observe(pc int, isBranch, isControl, taken bool, target int, inContext bool) *Learned {
 	if !l.occupied {
 		return nil
 	}
+	return l.observe(pc, isBranch, isControl, taken, target, inContext)
+}
+
+func (l *LearningTable) observe(pc int, isBranch, isControl, taken bool, target int, inContext bool) *Learned {
 	l.age++
 	if l.age > l.maxAge {
 		l.Reset()

@@ -87,7 +87,6 @@ func (a *CPIAccumulator) Schemes() []string {
 // per-run stacked bars.
 func CPIStackExperiment(opts Options) *stats.Table {
 	opts.fill()
-	opts.CollectCPI = true
 	kinds := []SchemeKind{SchemeBaseline, SchemeACB}
 	res := sweep(opts, kinds...)
 

@@ -47,14 +47,12 @@ type Options struct {
 	// Stats, when non-nil, accumulates runner totals across every pool
 	// executed with these Options (acbsweep prints it after an -all run).
 	Stats *RunnerStats
-	// CollectCPI enables per-cycle CPI-stack attribution on every
-	// simulation (see ooo.CPIStack); results carry it in ooo.Result.CPI.
-	// Off by default: attribution costs a few branches per simulated
-	// cycle.
-	CollectCPI bool
 	// CPIStats, when non-nil, accumulates per-scheme CPI bucket totals
-	// across every simulation run with these Options (implies
-	// CollectCPI); the acbd service exposes the totals on /v1/metrics.
+	// across every simulation run with these Options; the acbd service
+	// exposes the totals on /v1/metrics. Every simulation attributes a
+	// CPI stack (ooo.Result.CPI) whether or not it is collected here:
+	// attribution changes no other field of a result, so one memoized
+	// run serves every experiment.
 	CPIStats *CPIAccumulator
 	// Context, when non-nil, cancels the run cooperatively: queued
 	// simulations are skipped and in-flight ones stop mid-run (see
@@ -114,8 +112,9 @@ func (o *Options) fill() {
 // RunnerStats accumulates runner totals: simulations run (a memo hit is
 // not one), pool wall-clock time, the cumulative single-threaded
 // simulation time (whose ratio to wall time is the effective parallel
-// speedup), and total simulated cycles — the numerator of the harness's
-// own cycles-per-second throughput metric.
+// speedup; sampled-fig6's sampled runs count in it), and total simulated
+// cycles — the numerator of the harness's own cycles-per-second
+// throughput metric.
 type RunnerStats struct{ sims, wall, sim, cycles atomic.Int64 }
 
 // Simulations returns the number of simulations run.
@@ -243,15 +242,13 @@ func Pool(opts Options, n int, run func(i int)) (err error) {
 
 // runKey identifies a simulation by everything that decides its result:
 // the workload (name and spec seed: every Build is the same image), the
-// whole core configuration, the engine, the budget, and whether the run
-// attributes a CPI stack.
+// whole core configuration, the engine and the budget.
 type runKey struct {
 	workload string
 	seed     uint64
 	config   config.Core
 	engine   Engine
 	budget   int64
-	cpi      bool
 }
 
 // run is a finished simulation: its result, and its scheme (nil for the
@@ -272,8 +269,7 @@ func (o *Options) simulate(w *workload.Workload, e Engine) run {
 	if e.Predictor == "" {
 		e.Predictor = "tage"
 	}
-	cpi := o.CollectCPI || o.CPIStats != nil
-	key := runKey{w.Name, w.Spec.Seed, o.Config, e, o.Budget, cpi}
+	key := runKey{w.Name, w.Spec.Seed, o.Config, e, o.Budget}
 	return o.memo.runs.do(key, func() run {
 		newPredictor, newScheme, err := e.constructors(func() []dmp.Candidate {
 			return o.memo.profiles.do(profileKey{w.Name, w.Spec.Seed}, func() []dmp.Candidate { return profile(w) })
@@ -284,9 +280,7 @@ func (o *Options) simulate(w *workload.Workload, e Engine) run {
 		p, m := w.Build()
 		scheme := newScheme()
 		c := ooo.NewWithMemory(o.Config, p, newPredictor(), scheme, m)
-		if cpi {
-			c.EnableCPIStack()
-		}
+		c.EnableCPIStack()
 		start := time.Now()
 		res, err := c.RunContext(o.Context, o.Budget)
 		if err != nil {

@@ -95,10 +95,10 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 
 // TestMemoRunsEachSimulationOnce runs every experiment of an "all" run on
 // a small subset and counts simulations: each distinct one runs exactly
-// once. On gcc and eembc that is 41 — fig1's 12 (1x is the Skylake core,
+// once. On gcc and eembc that is 37 — fig1's 12 (1x is the Skylake core,
 // so its baselines are fig6's), acb +2, fig8's no-Dynamo and DMP +4,
 // fig9's 13 (omnetpp, xalancbmk and h264ref in full, eembc's DMP-PBH),
-// fig11's DHP +2, scaling's future core +4, cpistack's CPI runs +4 —
+// fig11's DHP +2, scaling's future core +4; cpistack's runs are fig6's —
 // where running each experiment afresh takes 74.
 func TestMemoRunsEachSimulationOnce(t *testing.T) {
 	if testing.Short() {
@@ -114,7 +114,7 @@ func TestMemoRunsEachSimulationOnce(t *testing.T) {
 			jobs++
 		}
 	}
-	const want = 41
+	const want = 37
 	if got := opts.Stats.Simulations(); got != want {
 		t.Fatalf("an all run simulated %d times, want %d distinct simulations", got, want)
 	}
@@ -268,5 +268,29 @@ func TestMemoCancelledRunIsNotCached(t *testing.T) {
 	}
 	if got := opts.Stats.Simulations(); got != 1 {
 		t.Fatalf("%d simulations counted, want 1 (a cancelled run is not one)", got)
+	}
+}
+
+// TestSampledRunsCountAsSimulationTime: sampled-fig6's sampled runs are
+// simulation time in RunnerStats, so its effective speedup measures
+// them. Its full runs are memo hits here, so all the simulation time the
+// experiment adds is its sampled runs', inside its pool's wall time.
+func TestSampledRunsCountAsSimulationTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	opts := smallOpts(t, "gcc")
+	opts.Budget = 60_000
+	opts.Jobs = 1
+	opts.Stats = &RunnerStats{}
+	Figure6(opts) // runs the baselines sampled-fig6 compares against
+	sims, sim, wall := opts.Stats.Simulations(), opts.Stats.Sim(), opts.Stats.Wall()
+	SampledFig6(opts)
+	if got := opts.Stats.Simulations(); got != sims {
+		t.Fatalf("sampled-fig6 ran %d new memoized simulations, want 0", got-sims)
+	}
+	added, poolWall := opts.Stats.Sim()-sim, opts.Stats.Wall()-wall
+	if added <= 0 || added > poolWall {
+		t.Fatalf("sampled runs added %s of simulation time in a %s pool", added, poolWall)
 	}
 }

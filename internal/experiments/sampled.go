@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"acb/internal/sample"
 	"acb/internal/stats"
@@ -46,6 +47,7 @@ func SampledFig6(opts Options) *stats.Table {
 		p, m := w.Build()
 
 		full := opts.simulate(&w, catalogue[SchemeBaseline]).res
+		start := time.Now()
 		est, err := sample.Run(p, m, plan, sample.Options{
 			Budget:  opts.Budget,
 			Config:  opts.Config,
@@ -54,6 +56,11 @@ func SampledFig6(opts Options) *stats.Table {
 		})
 		if err != nil {
 			panic(fmt.Errorf("experiments: sampled %s: %w", w.Name, err))
+		}
+		if opts.Stats != nil {
+			// A sampled run is simulation time too, though not a
+			// memoized simulation.
+			opts.Stats.sim.Add(int64(time.Since(start)))
 		}
 		rows[i] = row{fullCPI: float64(full.Cycles) / float64(full.Retired), est: est}
 	})

@@ -31,26 +31,30 @@ type prfEntry struct {
 }
 
 // fetchedInst is one slot in the decoupled fetch queue between the fetch
-// engine and rename.
+// engine and rename. A branch's fetch-time global history is its
+// pred.Hist (bpu.Prediction.Hist).
 type fetchedInst struct {
 	pc         int
 	inst       *isa.Instruction
 	readyCycle int64
-	wrongPath  bool
+	ctx        *ctxState
+	ctxClose   *ctxState // set on the first instruction after a context closes
+	wrongTok   flushToken
+	fetchFlags
+	pred bpu.Prediction
+}
 
+// fetchFlags are a fetched instruction's one-byte fields, kept together
+// so newFetched resets them with one store.
+type fetchFlags struct {
+	wrongPath bool
 	role      Role
-	ctx       *ctxState
 	pathTaken bool
-	ctxSwitch bool      // first instruction of the second fetched path
-	ctxClose  *ctxState // set on the first instruction after a context closes
-
-	hasPred     bool
-	pred        bpu.Prediction
-	predTaken   bool
-	trueKnown   bool
-	trueTaken   bool
-	histAtFetch uint64
-	wrongTok    flushToken
+	ctxSwitch bool // first instruction of the second fetched path
+	hasPred   bool
+	predTaken bool
+	trueKnown bool
+	trueTaken bool
 }
 
 // flushToken identifies the fetch-divergence cause so the flush that
@@ -130,8 +134,11 @@ type Core struct {
 	hier   *mem.Hierarchy
 	scheme Scheme
 
+	// rat maps each logical register to its physical register. Its
+	// entries are int32, like every RAT copy (ratCkpt, ctxState.rat0 and
+	// rat1), which halves the checkpoint every control instruction takes.
 	rob      *rob
-	rat      [isa.NumRegs]int
+	rat      [isa.NumRegs]int32
 	prf      []prfEntry
 	freeList []int
 
@@ -152,7 +159,8 @@ type Core struct {
 	// before their branch resolves wait the same way on their context's
 	// gate (ctxState.gate), which resolveBranch moves to woken. nParked
 	// counts the entries on waiter lists, on gates or in woken; they still
-	// hold IQ slots.
+	// hold IQ slots. nGated counts the entries on gates, the sum of the
+	// live contexts' gated.
 	iq       []*robEntry
 	iqSpare  []*robEntry
 	waitHead []int32
@@ -160,6 +168,7 @@ type Core struct {
 	waitFree int32
 	woken    []waitRec
 	nParked  int
+	nGated   int
 	loads    seqList
 	stores   seqList
 
@@ -225,8 +234,8 @@ type Core struct {
 	selHead        int
 
 	// compRing is a latency calendar: bucket (doneCycle mod len) holds the
-	// completion records for that cycle, insertion-sorted by seq so the
-	// oldest mispredict still flushes first without a per-cycle sort. Its
+	// completion records for that cycle, in issue order until the drain
+	// sorts them by seq, so the oldest mispredict still flushes first. Its
 	// length exceeds the maximum schedulable latency, so a bucket can
 	// never mix two distinct doneCycles. compPending counts records across
 	// all buckets (stale ones included) so quiescent-cycle skipping knows
@@ -393,7 +402,7 @@ func newCore(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor
 		haltSeq:    -1,
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		c.rat[r] = r
+		c.rat[r] = int32(r)
 		c.commitRat[r] = r
 		c.prf[r].ready = true
 	}
@@ -528,8 +537,10 @@ func (c *Core) skipToNextEvent() {
 	if c.stallSlotsThisCycle > 0 {
 		c.s.allocStallSlots += skipped * c.stallSlotsThisCycle
 	}
-	for _, ctx := range c.liveCtxs {
-		ctx.bodyStalls += skipped * int64(ctx.gated)
+	if c.nGated > 0 {
+		for _, ctx := range c.liveCtxs {
+			ctx.bodyStalls += skipped * int64(ctx.gated)
+		}
 	}
 	if c.cpi != nil {
 		c.cpi.charge(c.cpi.last, skipped)
@@ -588,25 +599,33 @@ func (c *Core) fqReset() {
 	c.fqLen = 0
 }
 
-// scheduleCompletion books e's completion into the latency calendar,
-// insertion-sorted by seq so the per-cycle drain needs no sort to process
-// oldest-first.
+// scheduleCompletion books e's completion into the latency calendar.
+// Records are appended; completeStage sorts a bucket by seq before it
+// drains it.
 func (c *Core) scheduleCompletion(e *robEntry, lat int) {
-	if lat > c.compMaxLat || lat < 1 {
-		panic(fmt.Sprintf("ooo: completion latency %d outside calendar [1,%d]", lat, c.compMaxLat))
+	if uint(lat-1) >= uint(c.compMaxLat) {
+		panic(fault{"ooo: completion latency %d outside calendar [1,%d]", [2]int64{int64(lat), int64(c.compMaxLat)}, 2})
 	}
 	e.doneCycle = c.cycle + int64(lat)
-	slot := e.doneCycle & c.compMask
-	b := c.compRing[slot]
-	i := len(b)
-	b = append(b, compRec{})
-	for i > 0 && b[i-1].seq > e.seq {
-		b[i] = b[i-1]
-		i--
-	}
-	b[i] = compRec{seq: e.seq, gen: e.gen}
-	c.compRing[slot] = b
+	b := &c.compRing[e.doneCycle&c.compMask]
+	*b = append(*b, compRec{seq: e.seq, gen: e.gen})
 	c.compPending++
+}
+
+// fault is a panic value whose message is formatted only when it is read,
+// so the per-instruction helpers that check an invariant inline.
+type fault struct {
+	format string
+	args   [2]int64
+	n      int // args used
+}
+
+func (f fault) Error() string {
+	args := make([]any, f.n)
+	for i := range args {
+		args[i] = f.args[i]
+	}
+	return fmt.Sprintf(f.format, args...)
 }
 
 // stepCycle advances one cycle; it returns true when the program's Halt

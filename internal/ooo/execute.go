@@ -26,8 +26,9 @@ func (c *Core) completeStage() {
 	if len(bucket) == 0 {
 		return
 	}
-	// Records are insertion-sorted by seq, so the oldest mispredict
-	// flushes before younger ones without a per-cycle sort.
+	// Drain oldest first, so the oldest mispredict flushes before younger
+	// ones.
+	sortBySeq(bucket)
 	for _, rec := range bucket {
 		e := c.rob.at(rec.seq)
 		if e == nil || e.gen != rec.gen || e.done || !e.issued {
@@ -50,6 +51,20 @@ func (c *Core) completeStage() {
 	c.compRing[slot] = bucket[:0]
 }
 
+// sortBySeq sorts a calendar bucket by seq: an insertion sort, stable,
+// since a bucket holds a handful of records issued mostly in seq order.
+func sortBySeq(b []compRec) {
+	for i := 1; i < len(b); i++ {
+		r := b[i]
+		j := i
+		for j > 0 && b[j-1].seq > r.seq {
+			b[j] = b[j-1]
+			j--
+		}
+		b[j] = r
+	}
+}
+
 // resolveBranch handles a conditional branch's resolution.
 func (c *Core) resolveBranch(e *robEntry) {
 	switch e.role {
@@ -59,6 +74,7 @@ func (c *Core) resolveBranch(e *robEntry) {
 		ctx.branchTaken = e.resolvedTaken
 		// Open the gate: the bodies waiting on it join this cycle's scan.
 		c.wake(&ctx.gate)
+		c.nGated -= ctx.gated
 		ctx.gated = 0
 		c.invalidateFalseMemOps(ctx)
 		if ctx.diverged && !ctx.flushedDiv {
@@ -159,7 +175,7 @@ func (c *Core) divergenceFlush(e *robEntry) {
 
 	// History: predicated instances are absent from history (ACB); the
 	// DMP-PBH oracle inserts the true outcome.
-	c.pred.SetHistory(e.histAtFetch)
+	c.pred.SetHistory(e.pred.Hist)
 	if ctx.spec.PushTrueHistory {
 		c.pred.PushHistory(uint64(e.pc), e.resolvedTaken)
 	}

@@ -46,7 +46,8 @@ func (c *Core) StepCycle() (halted bool, retired int64) {
 //   - every gated entry is a live, unissued stall-mode body of a context
 //     whose branch is unresolved, on exactly its own context's gate; each
 //     gate lists its members newest first and holds as many as its
-//     count, and no resolved context keeps a gated member;
+//     count, no resolved context keeps a gated member, and the gates'
+//     total is the core's nGated;
 //   - listed plus free records fill the arena.
 //
 // gated, when not nil, receives the gated entries.
@@ -148,6 +149,9 @@ func (c *Core) CheckIQ(gated *[]GateRef) (IQStats, error) {
 	}
 	if st.Gated != gatedROB {
 		return st, fmt.Errorf("gates list %d bodies, but %d ROB entries are gated", st.Gated, gatedROB)
+	}
+	if st.Gated != c.nGated {
+		return st, fmt.Errorf("gates list %d bodies, but nGated=%d", st.Gated, c.nGated)
 	}
 	free := 0
 	for n := c.waitFree; n >= 0; n = c.waitRecs[n].next {

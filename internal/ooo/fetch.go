@@ -36,30 +36,18 @@ func (c *Core) fetchStage() {
 // newFetched reserves the next fetch-queue ring slot and initialises its
 // common fields in place. Every call is paired with exactly one pushFetch,
 // which commits the slot. The reset is field-wise (not a composite-literal
-// assignment) to avoid copying the 184-byte struct through a stack
-// temporary; pred is deliberately left stale — readers are guarded by
-// hasPred.
+// assignment) to avoid copying the struct through a stack temporary; pred
+// is deliberately left stale — readers are guarded by hasPred.
 func (c *Core) newFetched(pc int, inst *isa.Instruction) *fetchedInst {
 	fi := c.fqReserve()
 	fi.pc = pc
 	fi.inst = inst
 	fi.readyCycle = c.cycle + int64(c.cfg.FrontEndLatency)
-	fi.wrongPath = c.onWrongPath
-	fi.role = RoleNone
 	fi.ctx = nil
-	fi.pathTaken = false
-	fi.ctxSwitch = false
-	fi.ctxClose = nil
-	fi.hasPred = false
-	fi.predTaken = false
-	fi.trueKnown = false
-	fi.trueTaken = false
-	fi.histAtFetch = c.pred.History()
+	fi.ctxClose = c.pendingClose
 	fi.wrongTok = 0
-	if c.pendingClose != nil {
-		fi.ctxClose = c.pendingClose
-		c.pendingClose = nil
-	}
+	fi.fetchFlags = fetchFlags{wrongPath: c.onWrongPath}
+	c.pendingClose = nil
 	return fi
 }
 
@@ -98,7 +86,7 @@ func (c *Core) fetchNormalSlot() (consumed, stop bool) {
 	case isa.Jmp:
 		c.fetchPC = inst.Target
 		if trueKnown {
-			c.step(&c.cur)
+			c.cur.pc = inst.Target // step: the cursor is at pc
 		}
 		c.pushFetch(fi)
 		c.emitFetchEvent(fi, true, inst.Target)
@@ -110,7 +98,7 @@ func (c *Core) fetchNormalSlot() (consumed, stop bool) {
 	default:
 		c.fetchPC = pc + 1
 		if trueKnown {
-			c.step(&c.cur)
+			c.cur.pc++ // step: the cursor is at pc
 		}
 		c.pushFetch(fi)
 		c.emitFetchEvent(fi, false, 0)
@@ -125,14 +113,14 @@ func (c *Core) fetchBranch(pc int, inst *isa.Instruction, fi *fetchedInst, trueK
 	if trueKnown {
 		trueTaken = c.outcome(c.cur.k)
 	}
-	pred := c.pred.Predict(uint64(pc), trueTaken)
+	fi.pred = c.pred.Predict(uint64(pc), trueTaken)
 	fi.hasPred = true
-	fi.pred = pred
 	fi.trueKnown = trueKnown
 	fi.trueTaken = trueTaken
+	pred := &fi.pred
 
 	if c.scheme != nil {
-		if spec, ok := c.scheme.ShouldPredicate(pc, pred.Taken, pred.Conf, c.pred.History()); ok {
+		if spec, ok := c.scheme.ShouldPredicate(pc, pred.Taken, pred.Conf, pred.Hist); ok {
 			c.openCtx(pc, spec, trueKnown, trueTaken, fi)
 			c.pushFetch(fi)
 			c.emitFetchEvent(fi, spec.FirstTaken, inst.Target)
@@ -149,7 +137,12 @@ func (c *Core) fetchBranch(pc int, inst *isa.Instruction, fi *fetchedInst, trueK
 		c.fetchPC = pc + 1
 	}
 	if trueKnown {
-		c.step(&c.cur)
+		// step: the cursor is at pc and its outcome is trueTaken.
+		c.cur.pc = pc + 1
+		if trueTaken {
+			c.cur.pc = inst.Target
+		}
+		c.cur.k++
 		if pred.Taken != trueTaken {
 			tok := c.newTok()
 			fi.wrongTok = tok
@@ -358,11 +351,15 @@ func (c *Core) pushFetch(fi *fetchedInst) {
 }
 
 // emitFetchEvent feeds the believed-correct-path fetch stream to the
-// predication scheme's learning structures.
+// predication scheme's learning structures. It inlines, so the baseline
+// and wrong-path fetch pay only its test.
 func (c *Core) emitFetchEvent(fi *fetchedInst, taken bool, target int) {
-	if c.scheme == nil || fi.wrongPath {
-		return
+	if c.scheme != nil && !fi.wrongPath {
+		c.onFetch(fi, taken, target)
 	}
+}
+
+func (c *Core) onFetch(fi *fetchedInst, taken bool, target int) {
 	c.scheme.OnFetch(FetchEvent{
 		PC:        fi.pc,
 		IsBranch:  fi.inst.Op == isa.Br,

@@ -43,6 +43,10 @@ func (c *Core) issueStage() {
 	// width, load and store caps: the scan attempts nothing younger than
 	// a cap that applies to it.
 	capW, capL, capS := noCap, noCap, noCap
+	if len(c.iq) == 0 && len(c.woken) == 0 {
+		c.countGateStalls(capW, capL, capS)
+		return
+	}
 
 	// The scan walks c.iq merged with the entries woken since the last
 	// scan, in seq order, so age-ordered select sees each woken entry
@@ -65,7 +69,18 @@ func (c *Core) issueStage() {
 			keep = append(keep, e)
 			continue
 		}
-		lat, ok := c.tryIssue(e)
+		var lat int
+		ok := false
+		if e.role == RoleNone {
+			// tryIssueRegs, inline: the common entry costs one call.
+			if w := c.unreadySrc(e); w >= 0 {
+				e.waitPhys = w
+			} else {
+				lat, ok = c.execute(e)
+			}
+		} else {
+			lat, ok = c.tryIssue(e)
+		}
 		if !ok {
 			if e.waitPhys >= 0 {
 				c.park(e)
@@ -108,8 +123,15 @@ const noCap = int64(math.MaxInt64)
 // bodyStalls, ResolveEvent.BodyStallCycles) when this cycle's scan would
 // have reached it: when it is older than every cap that filled and
 // applies to it. That is the count polling made, one per failed attempt.
-// With no cap filled, a gate is charged its size.
+// With no cap filled, a gate is charged its size. It inlines to a test of
+// nGated.
 func (c *Core) countGateStalls(capW, capL, capS int64) {
+	if c.nGated > 0 {
+		c.chargeGates(capW, capL, capS)
+	}
+}
+
+func (c *Core) chargeGates(capW, capL, capS int64) {
 	for _, ctx := range c.liveCtxs {
 		if ctx.gated == 0 {
 			continue
@@ -372,12 +394,20 @@ func (c *Core) gateBody(e *robEntry) {
 	e.waitPhys = waitGate
 	c.push(&e.ctx.gate, e)
 	e.ctx.gated++
+	c.nGated++
 }
 
 // wake moves the list *head to the woken buffer, oldest first, and frees
 // its records; completeStage calls it for a register it marks ready and
-// resolveBranch for the gate of the branch it resolves.
+// resolveBranch for the gate of the branch it resolves. It inlines to the
+// empty list's test.
 func (c *Core) wake(head *int32) {
+	if *head >= 0 {
+		c.wakeList(head)
+	}
+}
+
+func (c *Core) wakeList(head *int32) {
 	start := len(c.woken)
 	for n := *head; n >= 0; {
 		r := &c.waitRecs[n]
@@ -412,6 +442,7 @@ func (c *Core) unpark(e *robEntry) {
 			c.waitFree = n
 			if e.waitPhys == waitGate {
 				e.ctx.gated--
+				c.nGated--
 			}
 			return
 		}

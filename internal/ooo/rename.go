@@ -1,10 +1,6 @@
 package ooo
 
-import (
-	"fmt"
-
-	"acb/internal/isa"
-)
+import "acb/internal/isa"
 
 // renameStage renames and allocates up to AllocWidth instructions from the
 // fetch queue into the ROB/IQ/LSQ, injecting select micro-ops at eager
@@ -42,7 +38,15 @@ func (c *Core) renameStage() {
 			c.progress = true
 			continue
 		}
-		if !c.resourcesAvailable(fi) {
+		// Stall unless the instruction fits in the backend: a ROB entry, a
+		// destination register if it writes one, and an IQ slot and an LSQ
+		// slot if it needs them.
+		op := fi.inst.Op
+		if c.rob.full() || fi.inst.HasDest() && len(c.freeList) == 0 ||
+			op != isa.Nop && op != isa.Halt && op != isa.Jmp &&
+				(c.iqOccupancy() >= c.cfg.IQSize ||
+					op == isa.Load && c.loads.len() >= c.cfg.LQSize ||
+					op == isa.Store && c.stores.len() >= c.cfg.SQSize) {
 			c.s.allocStallSlots += int64(budget)
 			c.stallSlotsThisCycle += int64(budget)
 			return
@@ -52,29 +56,6 @@ func (c *Core) renameStage() {
 		c.progress = true
 		budget--
 	}
-}
-
-// resourcesAvailable reports whether one more instruction fits in the
-// backend structures.
-func (c *Core) resourcesAvailable(fi *fetchedInst) bool {
-	if c.rob.full() {
-		return false
-	}
-	op := fi.inst.Op
-	needsIQ := op != isa.Nop && op != isa.Halt && op != isa.Jmp
-	if needsIQ && c.iqOccupancy() >= c.cfg.IQSize {
-		return false
-	}
-	if op == isa.Load && c.loads.len() >= c.cfg.LQSize {
-		return false
-	}
-	if op == isa.Store && c.stores.len() >= c.cfg.SQSize {
-		return false
-	}
-	if fi.inst.HasDest() && len(c.freeList) == 0 {
-		return false
-	}
-	return true
 }
 
 // renameOne renames one fetched instruction into the backend.
@@ -90,18 +71,11 @@ func (c *Core) renameOne(fi *fetchedInst) {
 	e := c.rob.alloc()
 	e.pc = fi.pc
 	e.inst = fi.inst
-	e.role = fi.role
 	e.ctx = fi.ctx
-	e.pathTaken = fi.pathTaken
-	e.wrongPath = fi.wrongPath
+	e.fetchFlags = fi.fetchFlags
 	if fi.hasPred {
 		e.pred = fi.pred
 	}
-	e.hasPred = fi.hasPred
-	e.predTaken = fi.predTaken
-	e.trueKnown = fi.trueKnown
-	e.trueTaken = fi.trueTaken
-	e.histAtFetch = fi.histAtFetch
 	e.wrongTok = fi.wrongTok
 
 	c.s.allocations++
@@ -127,18 +101,18 @@ func (c *Core) renameOne(fi *fetchedInst) {
 	// both are renamed and nsrc bounds the reads. (Copying them through
 	// Sources' [2]Reg wrote two bytes and read them back as one word, a
 	// store-forwarding stall.)
-	e.src[0] = c.rat[fi.inst.Rs1]
-	e.src[1] = c.rat[fi.inst.Rs2]
+	e.src[0] = int(c.rat[fi.inst.Rs1])
+	e.src[1] = int(c.rat[fi.inst.Rs2])
 	e.nsrc = fi.inst.NumSources()
 
 	if fi.inst.HasDest() {
 		d := fi.inst.Rd
-		e.prevPhys = c.rat[d]
+		e.prevPhys = int(c.rat[d])
 		p := c.popFree()
 		e.dest = p
 		c.prf[p] = prfEntry{}
-		c.rat[d] = p
-		if e.role == RoleBody && e.ctx != nil && e.ctx.spec.Eager && e.prevPhys == e.ctx.rat0[d] {
+		c.rat[d] = int32(p)
+		if e.role == RoleBody && e.ctx != nil && e.ctx.spec.Eager && int32(e.prevPhys) == e.ctx.rat0[d] {
 			e.skipPrevFree = true
 		}
 	}
@@ -171,7 +145,7 @@ func (c *Core) renameOne(fi *fetchedInst) {
 // (DMP's select-µop merge; these consume allocation bandwidth, which is
 // the cost the paper's Fig. 10 measures).
 func (c *Core) buildSelects(ctx *ctxState) {
-	var pA, pB [isa.NumRegs]int
+	var pA, pB [isa.NumRegs]int32
 	if ctx.haveRAT1 {
 		pA = ctx.rat1 // end of first fetched path
 		pB = c.rat    // end of second fetched path
@@ -179,7 +153,7 @@ func (c *Core) buildSelects(ctx *ctxState) {
 		pA = c.rat // only path fetched
 		pB = ctx.rat0
 	}
-	var ratT, ratN [isa.NumRegs]int
+	var ratT, ratN [isa.NumRegs]int32
 	if ctx.spec.FirstTaken {
 		ratT, ratN = pA, pB
 	} else {
@@ -192,19 +166,19 @@ func (c *Core) buildSelects(ctx *ctxState) {
 		ss := selectSpec{
 			ctx:  ctx,
 			log:  isa.Reg(r),
-			selT: ratT[r],
-			selN: ratN[r],
+			selT: int(ratT[r]),
+			selN: int(ratN[r]),
 		}
-		for _, p := range [maxFreeOnRetire]int{ratT[r], ratN[r], ctx.rat0[r]} {
+		for _, p := range [maxFreeOnRetire]int32{ratT[r], ratN[r], ctx.rat0[r]} {
 			dup := false
 			for i := 0; i < int(ss.nFree); i++ {
-				if int(ss.frees[i]) == p {
+				if ss.frees[i] == p {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				ss.frees[ss.nFree] = int32(p)
+				ss.frees[ss.nFree] = p
 				ss.nFree++
 			}
 		}
@@ -231,7 +205,7 @@ func (c *Core) allocSelect(ss *selectSpec) bool {
 	p := c.popFree()
 	e.dest = p
 	c.prf[p] = prfEntry{}
-	c.rat[ss.log] = p
+	c.rat[ss.log] = int32(p)
 	c.iq = append(c.iq, e)
 	e.inIQ = true
 	c.s.allocations++
@@ -243,10 +217,11 @@ func (c *Core) allocSelect(ss *selectSpec) bool {
 }
 
 func (c *Core) popFree() int {
-	if len(c.freeList) == 0 {
-		panic(fmt.Sprintf("ooo: physical register file exhausted at cycle %d", c.cycle))
+	n := len(c.freeList) - 1
+	if n < 0 {
+		panic(fault{"ooo: physical register file exhausted at cycle %d", [2]int64{c.cycle}, 1})
 	}
-	p := c.freeList[len(c.freeList)-1]
-	c.freeList = c.freeList[:len(c.freeList)-1]
+	p := c.freeList[n]
+	c.freeList = c.freeList[:n]
 	return p
 }

@@ -138,7 +138,7 @@ func (c *Core) retireBranch(e *robEntry) {
 				Diverged:        ctx.flushedDiv,
 				ReconHint:       hint,
 				BodyStallCycles: ctx.bodyStalls,
-				Hist:            e.histAtFetch,
+				Hist:            e.pred.Hist,
 			})
 		}
 		// No predictor update: no prediction was made for this instance
@@ -160,7 +160,7 @@ func (c *Core) retireBranch(e *robEntry) {
 				Taken:      e.resolvedTaken,
 				Mispredict: e.mispredict,
 				ROBFrac:    e.robFrac,
-				Hist:       e.histAtFetch,
+				Hist:       e.pred.Hist,
 				PredTaken:  e.predTaken,
 			})
 		}

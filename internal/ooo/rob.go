@@ -11,44 +11,33 @@ const maxFreeOnRetire = 3
 
 // robEntry is one in-flight instruction (or injected select micro-op).
 type robEntry struct {
-	valid bool
-	seq   int64
+	seq int64
 	// gen is the ROB-wide allocation generation: unlike seq it never
 	// rewinds at a flush, so a completion event tagged with it can detect
 	// lazily that its seq was squashed and reallocated (see compRec).
 	gen  uint64
 	pc   int
 	inst *isa.Instruction // nil for injected select micro-ops
+	ctx  *ctxState
 
-	role      Role
-	ctx       *ctxState
-	pathTaken bool // body: belongs to the taken-direction path
-	wrongPath bool
+	// fetchFlags are the fetched instruction's, copied at rename in one
+	// store: its role, path and wrong-path bits, and its prediction's
+	// guard (hasPred), direction (predTaken) and true outcome.
+	fetchFlags
+	robFlags
 
 	// Rename state.
 	dest     int // destination physical register, -1 if none
 	prevPhys int // previous mapping of the destination logical register
 	src      [2]int
 	nsrc     int
-	ratCkpt  [isa.NumRegs]int // RAT checkpoint (control instructions)
-	hasCkpt  bool
-
-	// Branch prediction state.
-	pred        bpu.Prediction
-	hasPred     bool
-	predTaken   bool // direction fetch followed
-	trueTaken   bool
-	trueKnown   bool
-	histAtFetch uint64
 
 	// Select micro-op state: the chosen source is selT when the context
 	// branch resolves taken, selN otherwise. freeOnRetire[:nFree] lists
 	// path-final physical registers that die at the select (a fixed array:
 	// allocating a slice per select showed up in the cycle-loop profile).
 	selT, selN   int
-	selLog       isa.Reg
 	freeOnRetire [maxFreeOnRetire]int32
-	nFree        uint8
 
 	// Execution state.
 	// waitPhys is the physical register a parked IQ entry waits on: set
@@ -56,31 +45,50 @@ type robEntry struct {
 	// the entry off the issue scan until completeStage wakes it (see
 	// park). -1 means the entry is not parked.
 	waitPhys  int32
-	inIQ      bool
-	issued    bool
-	done      bool
 	doneCycle int64
 	result    int64
-	hasResult bool
 
 	// Memory state.
-	isLoad      bool
-	isStore     bool
-	addrReady   bool
-	effAddr     int64
-	storeVal    int64
-	invalidated bool // predicated-false-path memory op
+	effAddr  int64
+	storeVal int64
 
 	// Branch resolution.
-	resolvedTaken bool
-	mispredict    bool
-	flushed       bool    // this entry already triggered its flush
-	robFrac       float64 // ROB-head distance fraction at mispredict detection
+	robFrac float64 // ROB-head distance fraction at mispredict detection
 
 	// wrongTok is non-zero when fetch knew this branch was mispredicted
 	// (the wrong path begins after it); its flush clears the wrong-path
 	// state.
 	wrongTok flushToken
+
+	// Left stale by reset; see there.
+	ratCkpt [isa.NumRegs]int32 // RAT checkpoint (control instructions)
+	// pred is the branch's prediction; its Hist is the branch's
+	// fetch-time global history.
+	pred bpu.Prediction
+}
+
+// robFlags are a ROB entry's own one-byte fields, kept together so reset
+// clears them in two stores.
+type robFlags struct {
+	valid   bool
+	hasCkpt bool
+
+	selLog isa.Reg // select micro-op: the logical register it writes
+	nFree  uint8   // select micro-op: len of freeOnRetire in use
+
+	inIQ      bool
+	issued    bool
+	done      bool
+	hasResult bool
+
+	isLoad      bool
+	isStore     bool
+	addrReady   bool
+	invalidated bool // predicated-false-path memory op
+
+	resolvedTaken bool
+	mispredict    bool
+	flushed       bool // this entry already triggered its flush
 
 	// skipPrevFree suppresses freeing prevPhys at retire (eager-mode path
 	// first-writers; the select micro-op frees the forked base register).
@@ -91,56 +99,34 @@ type robEntry struct {
 // field individually instead of writing a whole zero robEntry: the
 // full-struct write memclrs ~300 bytes and runs the GC write barrier over
 // every pointer word each allocation, which the cycle-loop profile showed
-// as a top cost. Two large fields are deliberately left stale — ratCkpt
-// (guarded by hasCkpt) and pred (guarded by hasPred) — their consumers
-// never read them unless the guard was set after this reset. The
-// exhaustiveness of this list is enforced by a reflection test
+// as a top cost. The one-byte fields are two small structs, one store
+// each. Two large fields are deliberately left stale — ratCkpt (guarded
+// by hasCkpt) and pred (guarded by hasPred) — their consumers never read
+// them unless the guard was set after this reset. The exhaustiveness of
+// this list is enforced by a reflection test
 // (TestROBResetClearsAllFields).
 func (e *robEntry) reset(seq int64, gen uint64) {
-	e.valid = true
 	e.seq = seq
 	e.gen = gen
 	e.pc = 0
 	e.inst = nil
-	e.role = RoleNone
 	e.ctx = nil
-	e.pathTaken = false
-	e.wrongPath = false
+	e.fetchFlags = fetchFlags{}
+	e.robFlags = robFlags{valid: true}
 	e.dest = -1
 	e.prevPhys = -1
-	e.src[0] = 0
-	e.src[1] = 0
+	e.src = [2]int{}
 	e.nsrc = 0
-	e.hasCkpt = false
-	e.hasPred = false
-	e.predTaken = false
-	e.trueTaken = false
-	e.trueKnown = false
-	e.histAtFetch = 0
 	e.selT = 0
 	e.selN = 0
-	e.selLog = 0
 	e.freeOnRetire = [maxFreeOnRetire]int32{}
-	e.nFree = 0
 	e.waitPhys = -1
-	e.inIQ = false
-	e.issued = false
-	e.done = false
 	e.doneCycle = 0
 	e.result = 0
-	e.hasResult = false
-	e.isLoad = false
-	e.isStore = false
-	e.addrReady = false
 	e.effAddr = 0
 	e.storeVal = 0
-	e.invalidated = false
-	e.resolvedTaken = false
-	e.mispredict = false
-	e.flushed = false
 	e.robFrac = 0
 	e.wrongTok = 0
-	e.skipPrevFree = false
 }
 
 // rob is a ring buffer of in-flight instructions addressed by sequence

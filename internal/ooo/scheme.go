@@ -130,7 +130,7 @@ type ctxState struct {
 	gated int
 
 	// Eager (select-µop) rename fork state.
-	rat0, rat1   [isa.NumRegs]int
+	rat0, rat1   [isa.NumRegs]int32
 	haveRAT1     bool
 	selectsBuilt bool
 }

@@ -78,7 +78,7 @@ func prfAccounting(t *testing.T, c *Core) {
 	}
 	seen := make(map[int]string, c.cfg.PRFSize)
 	for r := 0; r < isa.NumRegs; r++ {
-		p := c.rat[r]
+		p := int(c.rat[r])
 		if prev, dup := seen[p]; dup {
 			t.Fatalf("phys %d mapped twice (%s and rat[r%d])", p, prev, r)
 		}
