@@ -45,7 +45,7 @@ type fetchedInst struct {
 }
 
 // fetchFlags are a fetched instruction's one-byte fields, kept together
-// so newFetched resets them with one store.
+// so newFetched resets them with one word store.
 type fetchFlags struct {
 	wrongPath bool
 	role      Role

@@ -99,8 +99,8 @@ type robFlags struct {
 // field individually instead of writing a whole zero robEntry: the
 // full-struct write memclrs ~300 bytes and runs the GC write barrier over
 // every pointer word each allocation, which the cycle-loop profile showed
-// as a top cost. The one-byte fields are two small structs, one store
-// each. Two large fields are deliberately left stale — ratCkpt (guarded
+// as a top cost. The one-byte fields sit in two small structs, cleared
+// in a few word stores. Two large fields are deliberately left stale — ratCkpt (guarded
 // by hasCkpt) and pred (guarded by hasPred) — their consumers never read
 // them unless the guard was set after this reset. The exhaustiveness of
 // this list is enforced by a reflection test
