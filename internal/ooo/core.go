@@ -49,10 +49,10 @@ type fetchedInst struct {
 type fetchFlags struct {
 	wrongPath bool
 	role      Role
-	pathTaken bool
+	pathTaken bool // body: belongs to the taken-direction path
 	ctxSwitch bool // first instruction of the second fetched path
-	hasPred   bool
-	predTaken bool
+	hasPred   bool // guards pred
+	predTaken bool // direction fetch followed
 	trueKnown bool
 	trueTaken bool
 }
