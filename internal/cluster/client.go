@@ -116,47 +116,12 @@ func StatusCode(err error) int {
 	return 0
 }
 
-func (c *Client) fire(node string) error {
-	if c.faults == nil {
-		return nil
-	}
-	if err := c.faults.Fire("rpc"); err != nil {
-		return fmt.Errorf("cluster: rpc to %s: %w", node, err)
-	}
-	if err := c.faults.Fire("rpc." + node); err != nil {
-		return fmt.Errorf("cluster: rpc to %s: %w", node, err)
-	}
-	return nil
-}
-
-// withDeadline guarantees an explicit deadline on ctx.
-func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, c.timeout)
-}
-
-// stamp adds the epoch header when this client has one.
-func (c *Client) stamp(req *http.Request) {
-	c.mu.Lock()
-	epoch := c.epoch
-	c.mu.Unlock()
-	if epoch > 0 {
-		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	}
-}
-
 // noteFenced inspects a 409 response for a higher epoch and reports it.
 func (c *Client) noteFenced(resp *http.Response) {
 	if resp.StatusCode != http.StatusConflict {
 		return
 	}
-	h := resp.Header.Get(EpochHeader)
-	if h == "" {
-		return
-	}
-	n, err := strconv.ParseUint(h, 10, 64)
+	n, err := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
 	if err != nil {
 		return
 	}
@@ -169,55 +134,93 @@ func (c *Client) noteFenced(resp *http.Response) {
 	}
 }
 
-// do performs one RPC against a node: method + url, optional JSON body
-// in, optional JSON decode into out. Non-2xx responses become
-// *statusError with the response body's error message.
-func (c *Client) do(ctx context.Context, node, method, url string, in, out interface{}) error {
-	if err := c.fire(node); err != nil {
-		return err
-	}
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return err
+// Reply caps: a JSON reply is read up to maxJSON bytes, a raw body
+// (a result envelope, a metrics document) up to maxRaw, and a longer
+// reply fails; an error reply is read up to maxError.
+const (
+	maxJSON  = 16 << 20
+	maxRaw   = 64 << 20
+	maxError = 4 << 10
+)
+
+// send performs one RPC against node and returns the reply body, read
+// up to limit bytes: it fires the rpc fault points, applies the
+// client's deadline when ctx has none, stamps the epoch, and turns every
+// non-2xx reply into a *statusError — its JSON "error" field when it
+// has one, the raw body otherwise — after checking a 409 for fencing.
+func (c *Client) send(ctx context.Context, node, method, url string, body []byte, limit int64) ([]byte, error) {
+	if c.faults != nil {
+		for _, point := range [...]string{"rpc", "rpc." + node} {
+			if err := c.faults.Fire(point); err != nil {
+				return nil, fmt.Errorf("cluster: rpc to %s: %w", node, err)
+			}
 		}
-		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if in != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	c.stamp(req)
+	c.mu.Lock()
+	epoch := c.epoch
+	c.mu.Unlock()
+	if epoch > 0 {
+		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
+	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		c.noteFenced(resp)
+		// The status is the answer; a body cut short only shortens the message.
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, maxError))
+		se := &statusError{code: resp.StatusCode, body: string(b)}
 		var ae struct {
 			Error string `json:"error"`
 		}
-		msg := string(b)
 		if json.Unmarshal(b, &ae) == nil && ae.Error != "" {
-			msg = ae.Error
+			se.body = ae.Error
 		}
-		return &statusError{code: resp.StatusCode, body: msg}
+		return nil, se
 	}
-	if out != nil {
-		return json.Unmarshal(b, out)
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("cluster: reply from %s exceeds %d bytes", node, limit)
+	}
+	return b, nil
+}
+
+// call is send with a JSON body: in is encoded when non-nil, and the
+// reply is decoded into out when non-nil.
+func (c *Client) call(ctx context.Context, node, method, url string, in, out interface{}) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+	}
+	b, err := c.send(ctx, node, method, url, body, maxJSON)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(b, out)
 }
 
 // retriable reports whether an idempotent RPC should be re-attempted:
@@ -228,139 +231,71 @@ func retriable(err error) bool {
 	return code == 0 || code >= 500 || code == http.StatusTooManyRequests
 }
 
-// backoff sleeps one equal-jitter step (service.Backoff) or until ctx
-// is done.
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	c.mu.Lock()
-	d := service.Backoff(attempt, c.base, c.max, c.rng)
-	c.mu.Unlock()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// doIdempotent is do with bounded equal-jitter retries, for RPCs that
-// are safe to repeat (GETs: probes, job listings, metrics scrapes).
-// The caller's ctx bounds the whole schedule; each attempt still gets
-// its own explicit deadline inside do.
-func (c *Client) doIdempotent(ctx context.Context, node, method, url string, in, out interface{}) error {
+// retry runs an RPC that is safe to repeat (a probe's listing, an
+// envelope fetch) under the idempotent schedule: up to tries attempts
+// while it fails retriably, with an equal-jitter backoff
+// (service.Backoff) between them. ctx bounds the whole schedule; each
+// attempt still gets its own deadline inside send.
+func (c *Client) retry(ctx context.Context, attempt func() error) error {
 	c.mu.Lock()
 	tries := c.tries
 	c.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < tries; attempt++ {
-		if attempt > 0 {
-			if err := c.backoff(ctx, attempt-1); err != nil {
-				return lastErr
+	var err error
+	for i := 0; i < tries; i++ {
+		if i > 0 {
+			c.mu.Lock()
+			d := service.Backoff(i-1, c.base, c.max, c.rng)
+			c.mu.Unlock()
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return err
 			}
 		}
-		lastErr = c.do(ctx, node, method, url, in, out)
-		if lastErr == nil || !retriable(lastErr) {
-			return lastErr
+		if err = attempt(); err == nil || !retriable(err) {
+			return err
 		}
 	}
-	return lastErr
+	return err
 }
 
-// getBytes performs one GET and returns the raw response body. A 404
-// returns (nil, nil): the peer authoritatively does not have it.
-func (c *Client) getBytes(ctx context.Context, node, url string) ([]byte, error) {
-	if err := c.fire(node); err != nil {
-		return nil, err
-	}
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.stamp(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		c.noteFenced(resp)
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, &statusError{code: resp.StatusCode, body: string(b)}
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-}
-
-// getBytesIdempotent is getBytes with the idempotent retry schedule
-// (store and envelope fetches).
-func (c *Client) getBytesIdempotent(ctx context.Context, node, url string) ([]byte, error) {
-	c.mu.Lock()
-	tries := c.tries
-	c.mu.Unlock()
-	var lastB []byte
-	var lastErr error
-	for attempt := 0; attempt < tries; attempt++ {
-		if attempt > 0 {
-			if err := c.backoff(ctx, attempt-1); err != nil {
-				return nil, lastErr
-			}
+// fetchFirst is the one envelope fetch walk: it asks each candidate in
+// order for key's envelope (GET /v1/store/{key}, retried as idempotent).
+// The first hit wins; when every candidate answers 404 the key is a
+// clean miss (nil, nil); otherwise the first error is returned, so the
+// store counts it. A dead candidate is just an error, and the next is
+// tried.
+func fetchFirst(ctx context.Context, client *Client, key string, cands []Member) ([]byte, error) {
+	var firstErr error
+	for _, m := range cands {
+		var b []byte
+		err := client.retry(ctx, func() (err error) {
+			b, err = client.send(ctx, m.Name, http.MethodGet, m.URL+"/v1/store/"+key, nil, maxRaw)
+			return err
+		})
+		if err == nil {
+			return b, nil
 		}
-		lastB, lastErr = c.getBytes(ctx, node, url)
-		if lastErr == nil || !retriable(lastErr) {
-			return lastB, lastErr
+		if firstErr == nil && StatusCode(err) != http.StatusNotFound {
+			firstErr = err
 		}
 	}
-	return nil, lastErr
-}
-
-// putBytes PUTs a raw body (result-envelope replication). Not retried:
-// replication failures are counted and the coordinator's own copy
-// already satisfies durability.
-func (c *Client) putBytes(ctx context.Context, node, url string, body []byte) error {
-	if err := c.fire(node); err != nil {
-		return err
-	}
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.stamp(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		c.noteFenced(resp)
-		return &statusError{code: resp.StatusCode, body: string(b)}
-	}
-	return nil
+	return nil, firstErr
 }
 
 // PeerFetcher builds the service.PeerFetchFunc for a worker shard: on a
-// local store miss, ask the shards that carry the key — the ring owner
-// first, then its successor, which holds the key's replica under the
-// coordinator's RF=2 result replication — via GET /v1/store/{key}.
-// Shards serve that endpoint from local tiers only (never their own
-// peer tier), which is what makes the recursion terminate: two shards
-// can never chase each other for a key neither has.
+// local store miss, it walks the shards that carry the key (fetchFirst)
+// — the ring owner first, then its successor, which holds the key's
+// replica under the coordinator's RF=2 result replication. Shards serve
+// GET /v1/store/{key} from local tiers only (never their own peer
+// tier), which is what makes the recursion terminate: two shards can
+// never chase each other for a key neither has.
 //
-// self is skipped in the candidate list (asking yourself is the miss
-// you already had). members maps node name → base URL and is the static
-// fleet; liveness doesn't matter here — a dead candidate is a transport
-// error, and the next candidate is tried. First hit wins; all-404 is an
-// authoritative miss; a miss with transport errors reports the first
-// error so the store counts it.
+// self is left out of the candidates (asking yourself is the miss you
+// already had). members maps node name → base URL and is the static
+// fleet; liveness doesn't matter here.
 func PeerFetcher(self string, members map[string]string, client *Client) service.PeerFetchFunc {
 	names := make([]string, 0, len(members))
 	for name := range members {
@@ -368,26 +303,12 @@ func PeerFetcher(self string, members map[string]string, client *Client) service
 	}
 	ring := NewRing(names...)
 	return func(ctx context.Context, key string) ([]byte, error) {
-		var firstErr error
+		var cands []Member
 		for _, name := range ring.Owners(key, 2) {
-			if name == self {
-				continue
-			}
-			base, ok := members[name]
-			if !ok {
-				continue
-			}
-			b, err := client.getBytesIdempotent(ctx, name, base+"/v1/store/"+key)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if b != nil {
-				return b, nil
+			if name != self {
+				cands = append(cands, Member{Name: name, URL: members[name]})
 			}
 		}
-		return nil, firstErr
+		return fetchFirst(ctx, client, key, cands)
 	}
 }

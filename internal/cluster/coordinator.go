@@ -434,7 +434,9 @@ func (c *Coordinator) probe() {
 			// Retries ride inside ProbeTimeout: a blip doesn't count as a
 			// failed round, but a dead worker still fails the round on time.
 			var l workerListing
-			if c.client.doIdempotent(ctx, m.name, http.MethodGet, m.url+"/v1/jobs", nil, &l) == nil {
+			if c.client.retry(ctx, func() error {
+				return c.client.call(ctx, m.name, http.MethodGet, m.url+"/v1/jobs", nil, &l)
+			}) == nil {
 				listings[i] = &l
 			}
 		}(i, m)
@@ -575,11 +577,11 @@ func (c *Coordinator) drive(ctx context.Context, m *member, job *service.Job) {
 			sendCancel := job.CancelRequested() && !cancelSent
 			c.Unlock()
 			if sendCancel {
-				err = c.client.do(ctx, m.name, http.MethodDelete, jobURL, nil, &st)
+				err = c.client.call(ctx, m.name, http.MethodDelete, jobURL, nil, &st)
 				cancelSent = err == nil
 			} else {
 				pctx, cancel := context.WithTimeout(ctx, c.cfg.PollInterval+c.cfg.RPCTimeout)
-				err = c.client.do(pctx, m.name, http.MethodGet, pollURL, nil, &st)
+				err = c.client.call(pctx, m.name, http.MethodGet, pollURL, nil, &st)
 				cancel()
 			}
 		}
@@ -604,7 +606,7 @@ func (c *Coordinator) post(ctx context.Context, m *member, job *service.Job) (se
 		return st, false
 	}
 
-	if err := c.client.do(ctx, m.name, http.MethodPost, m.url+"/v1/jobs", job.Request, &st); err != nil {
+	if err := c.client.call(ctx, m.name, http.MethodPost, m.url+"/v1/jobs", job.Request, &st); err != nil {
 		switch {
 		case ctx.Err() != nil: // worker declared dead or coordinator stopping
 		case StatusCode(err) == http.StatusTooManyRequests:
@@ -665,14 +667,13 @@ func (c *Coordinator) pause(ctx context.Context) {
 // done: the result envelope is copied into the coordinator's store, and
 // only then is the terminal record journaled (done ⇒ the result is
 // durable here, so a worker dying right after finishing costs a rerun,
-// never a done-but-unfetchable job). The envelope is then replicated.
+// never a done-but-unfetchable job). The envelope is then replicated. A
+// 404, or an envelope that fails validation, is a lost result: retry
+// hands the job back to the queue.
 func (c *Coordinator) complete(ctx context.Context, m *member, job *service.Job, st service.JobStatus) error {
-	env, err := c.client.getBytes(ctx, m.name, m.url+"/v1/store/"+job.Key)
+	env, err := c.client.send(ctx, m.name, http.MethodGet, m.url+"/v1/store/"+job.Key, nil, maxRaw)
 	if err != nil {
 		return err
-	}
-	if env == nil {
-		return &statusError{code: http.StatusNotFound, body: "result envelope missing on " + m.name}
 	}
 	if err := c.store.PutEnvelope(job.Key, env); err != nil {
 		return &statusError{code: http.StatusNotFound, body: err.Error()}
@@ -701,7 +702,7 @@ func (c *Coordinator) replicate(ctx context.Context, key, completer string, env 
 		if name == completer || urls[name] == "" {
 			continue
 		}
-		if err := c.client.putBytes(ctx, name, urls[name]+"/v1/store/"+key, env); err != nil {
+		if _, err := c.client.send(ctx, name, http.MethodPut, urls[name]+"/v1/store/"+key, env, maxJSON); err != nil {
 			c.counters.Add("replica_errors", 1)
 			c.cfg.Logf("cluster: replicate %.12s to %s: %v", key, name, err)
 			continue
@@ -722,41 +723,19 @@ func (c *Coordinator) liveURLsLocked() map[string]string {
 }
 
 // fetchEnvelope is the coordinator store's peer tier, for results that
-// have left its own tiers: candidates are the key's ring owner and
-// successor (the RF=2 replica holders), then the rest of the live
-// fleet. First hit wins; all-404 is a clean miss; a miss with transport
-// errors reports the first error so the store counts it.
+// have left its own tiers: it walks (fetchFirst) the key's ring owner
+// and successor (the RF=2 replica holders), then the rest of the live
+// fleet in name order, each live member once.
 func (c *Coordinator) fetchEnvelope(ctx context.Context, key string) ([]byte, error) {
 	c.Lock()
 	urls := c.liveURLsLocked()
 	c.Unlock()
-	var cands []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if urls[name] != "" && !seen[name] {
-			seen[name] = true
-			cands = append(cands, name)
+	var cands []Member
+	for _, name := range append(c.ring.Owners(key, 2), c.ring.Nodes()...) {
+		if url := urls[name]; url != "" {
+			cands = append(cands, Member{Name: name, URL: url})
+			delete(urls, name)
 		}
 	}
-	for _, owner := range c.ring.Owners(key, 2) {
-		add(owner)
-	}
-	for _, name := range c.ring.Nodes() { // sorted
-		add(name)
-	}
-
-	var firstErr error
-	for _, name := range cands {
-		b, err := c.client.getBytesIdempotent(ctx, name, urls[name]+"/v1/store/"+key)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if b != nil {
-			return b, nil
-		}
-	}
-	return nil, firstErr
+	return fetchFirst(ctx, c.client, key, cands)
 }

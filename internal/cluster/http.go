@@ -145,11 +145,15 @@ func (srv *Server) handleJournalStream(w http.ResponseWriter, r *http.Request) {
 
 	hb := srv.coord.cfg.ProbeInterval
 	from := 0
+	var line []byte
 	for {
 		recs, next, updated := j.Snapshot(from)
 		from = next
 		for _, rec := range recs {
-			if _, err := w.Write(append(rec, '\n')); err != nil {
+			// rec is the journal mirror's own slice, shared with every
+			// other stream: the newline goes into this stream's buffer.
+			line = append(append(line[:0], rec...), '\n')
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 		}
@@ -266,10 +270,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 			defer cancel()
-			b, err := c.client.getBytes(ctx, name, url+"/v1/metrics")
-			if err == nil && b == nil {
-				err = fmt.Errorf("cluster: %s has no /v1/metrics", name)
-			}
+			b, err := c.client.send(ctx, name, http.MethodGet, url+"/v1/metrics", nil, maxRaw)
 			var fams []expo.Family
 			if err == nil {
 				fams, err = expo.Parse(string(b))

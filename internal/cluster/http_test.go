@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,4 +98,77 @@ func postJSON(t *testing.T, url, body string) (submitResponse, int) {
 		}
 	}
 	return sr, resp.StatusCode
+}
+
+// TestJournalStreamConcurrentReaders: two standbys tailing one
+// coordinator's journal at once (say, one reconnecting while its old
+// stream is still open) each receive every record intact, in order.
+// Run under -race: the streams share the journal mirror's records and
+// must not write into them.
+func TestJournalStreamConcurrentReaders(t *testing.T) {
+	journal, _, err := OpenJournal(filepath.Join(t.TempDir(), "cluster.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := service.NewStore(4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := New(Config{Node: "coord", Workers: []Member{{Name: "w1", URL: "http://127.0.0.1:1"}}, Journal: journal}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(coord).Handler())
+	defer ts.Close()
+	defer coord.Shutdown(context.Background())
+
+	const records = 200
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var started, done sync.WaitGroup
+	started.Add(2)
+	done.Add(2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			defer done.Done()
+			seen, err := func() (int, error) {
+				req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/journal:stream", nil)
+				resp, err := http.DefaultClient.Do(req)
+				started.Done()
+				if err != nil {
+					return 0, err
+				}
+				defer resp.Body.Close()
+				sc := bufio.NewScanner(resp.Body)
+				n := 0
+				for n < records && sc.Scan() {
+					var rec struct {
+						Op     string `json:"op"`
+						Worker string `json:"worker"`
+					}
+					if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+						return n, fmt.Errorf("line %q: %v", sc.Text(), err)
+					}
+					if rec.Op != "member" {
+						continue // meta and heartbeat lines
+					}
+					if want := fmt.Sprintf("w%d", n); rec.Worker != want {
+						return n, fmt.Errorf("record %d names %q, want %q", n, rec.Worker, want)
+					}
+					n++
+				}
+				return n, sc.Err()
+			}()
+			if err != nil || seen != records {
+				t.Errorf("stream read %d of %d records: %v", seen, records, err)
+			}
+		}()
+	}
+	started.Wait()
+	for i := 0; i < records; i++ {
+		if err := journal.Member(fmt.Sprintf("w%d", i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Wait()
 }

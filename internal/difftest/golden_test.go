@@ -84,8 +84,7 @@ func goldenFromResult(name string, res ooo.Result) goldenRun {
 var goldenSeeds = []uint64{1, 7, 23, 1003, 90210}
 
 // runGoldenEngine runs one engine bare — no PipeStats, CPI or trace — the
-// exact configuration the throughput path uses, so cycle skipping (active
-// only without per-cycle observers) is covered by the comparison.
+// exact configuration the throughput path uses.
 func runGoldenEngine(t *testing.T, e Engine, asm *Assembled, budget int64) ooo.Result {
 	t.Helper()
 	scheme := e.NewScheme(asm)

@@ -111,7 +111,8 @@ func (o *Options) fill() {
 
 // RunnerStats accumulates runner totals: simulations run (a memo hit is
 // not one), pool wall-clock time, the cumulative single-threaded
-// simulation time (whose ratio to wall time is the effective parallel
+// simulation time (each run's whole computation: DMP profile, image
+// build and run; its ratio to wall time is the effective parallel
 // speedup; sampled-fig6's sampled runs count in it), and total simulated
 // cycles — the numerator of the harness's own cycles-per-second
 // throughput metric.
@@ -271,6 +272,9 @@ func (o *Options) simulate(w *workload.Workload, e Engine) run {
 	}
 	key := runKey{w.Name, w.Spec.Seed, o.Config, e, o.Budget}
 	return o.memo.runs.do(key, func() run {
+		// The whole computation is simulation time, as it is pool wall
+		// time: a serial run's effective speedup reads 1.
+		start := time.Now()
 		newPredictor, newScheme, err := e.constructors(func() []dmp.Candidate {
 			return o.memo.profiles.do(profileKey{w.Name, w.Spec.Seed}, func() []dmp.Candidate { return profile(w) })
 		})
@@ -281,7 +285,6 @@ func (o *Options) simulate(w *workload.Workload, e Engine) run {
 		scheme := newScheme()
 		c := ooo.NewWithMemory(o.Config, p, newPredictor(), scheme, m)
 		c.EnableCPIStack()
-		start := time.Now()
 		res, err := c.RunContext(o.Context, o.Budget)
 		if err != nil {
 			panic(fmt.Errorf("experiments: %s/%s/%s: %w", w.Name, e.Predictor, res.Scheme, err))

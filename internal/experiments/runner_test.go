@@ -294,3 +294,25 @@ func TestSampledRunsCountAsSimulationTime(t *testing.T) {
 		t.Fatalf("sampled runs added %s of simulation time in a %s pool", added, poolWall)
 	}
 }
+
+// TestSerialRunSpeedupIsOne: simulation time covers everything a
+// memoized run computes — the DMP profile and the image build as well as
+// the run — so a serial pool's simulation time is nearly all of its wall
+// time and its effective speedup reads 1. Fig. 8 profiles every workload
+// for DMP; at a short budget the profiles are a large share of the work.
+func TestSerialRunSpeedupIsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	opts := smallOpts(t, "gcc", "lammps")
+	opts.Budget = 20_000
+	opts.Jobs = 1
+	opts.Stats = &RunnerStats{}
+	Figure8(opts)
+	x, ok := opts.Stats.Speedup()
+	t.Logf("%s", opts.Stats)
+	if !ok || x < 0.9 || x > 1 {
+		t.Fatalf("serial effective speedup %.3f (sim %s, wall %s), want within [0.9, 1]",
+			x, opts.Stats.Sim(), opts.Stats.Wall())
+	}
+}

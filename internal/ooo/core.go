@@ -476,10 +476,6 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 	if c.commitMem == nil {
 		c.commitMem = isa.NewMemory()
 	}
-	// Per-cycle observers see every cycle individually, so they turn
-	// event-driven skipping off. The CPI stack does not: it charges a
-	// skipped stretch to the bucket of the cycle before it.
-	skippable := c.pipe == nil && c.trace == nil
 	var lastRetired int64
 	var stuck int64
 	var iter int64
@@ -500,7 +496,7 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 			halted = true
 			break
 		}
-		if skippable && !c.progress {
+		if !c.progress {
 			c.skipToNextEvent()
 		}
 		if c.retired == lastRetired {
@@ -527,7 +523,10 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 // quiescent cycle issued nothing, so no issue cap held). The CPI stack's
 // classification reads only commits, the ROB head and its context flags,
 // and the flush cause, none of which a quiescent cycle changes, so every
-// skipped cycle goes to the bucket the cycle before it was charged.
+// skipped cycle goes to the bucket the cycle before it was charged;
+// PipeStats likewise samples the occupancies it sampled last. Trace
+// events read the core's clock and are emitted only by cycles that make
+// progress, so every observer sees the same run as a cycle-by-cycle one.
 func (c *Core) skipToNextEvent() {
 	next, ok := c.nextEventCycle()
 	if !ok || next <= c.cycle+1 {
@@ -544,6 +543,9 @@ func (c *Core) skipToNextEvent() {
 	}
 	if c.cpi != nil {
 		c.cpi.charge(c.cpi.last, skipped)
+	}
+	if c.pipe != nil {
+		c.pipe.repeat(skipped)
 	}
 	c.cycle = next - 1
 }

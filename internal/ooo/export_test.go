@@ -35,6 +35,9 @@ func (c *Core) StepCycle() (halted bool, retired int64) {
 	return halted, c.retired
 }
 
+// Result reports the run so far, as Run would on stopping here.
+func (c *Core) Result(halted bool) Result { return c.result(halted) }
+
 // CheckIQ verifies the event-driven wakeup invariants between cycles:
 //   - occupancy: len(iq) plus the parked count equals the live ROB
 //     entries that are in the IQ and not issued, and the parked count is

@@ -22,6 +22,9 @@ type PipeStats struct {
 	robOcc [9]int64
 	iqOcc  [9]int64
 
+	// lastRob/lastIQ are the buckets of the latest sample.
+	lastRob, lastIQ int
+
 	// maxRob/maxIQ are the largest raw occupancies ever sampled; the
 	// differential-fuzz invariant pack checks them against the configured
 	// capacities.
@@ -41,15 +44,22 @@ func (c *Core) PipeStats() *PipeStats { return c.pipe }
 
 // sample records one cycle's occupancy.
 func (p *PipeStats) sample(robOcc, robCap, iqOcc, iqCap int) {
-	p.cycles++
-	p.robOcc[bucket(robOcc, robCap)]++
-	p.iqOcc[bucket(iqOcc, iqCap)]++
+	p.lastRob, p.lastIQ = bucket(robOcc, robCap), bucket(iqOcc, iqCap)
+	p.repeat(1)
 	if robOcc > p.maxRob {
 		p.maxRob = robOcc
 	}
 	if iqOcc > p.maxIQ {
 		p.maxIQ = iqOcc
 	}
+}
+
+// repeat records n more cycles at the latest sample's occupancies: the
+// cycles a quiescent stretch skips, in which no occupancy changes.
+func (p *PipeStats) repeat(n int64) {
+	p.cycles += n
+	p.robOcc[p.lastRob] += n
+	p.iqOcc[p.lastIQ] += n
 }
 
 // MaxOccupancy returns the largest ROB and issue-queue occupancies sampled

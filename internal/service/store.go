@@ -55,11 +55,10 @@ type Store struct {
 }
 
 // peerCall is one in-flight peer fetch; latecomers wait on done and read
-// tab/ok.
+// tab (nil on a miss).
 type peerCall struct {
 	done chan struct{}
 	tab  *stats.Table
-	ok   bool
 }
 
 type storeEntry struct {
@@ -124,153 +123,141 @@ func (s *Store) PeerStats() (hits, errs int64) {
 	return s.peerHits, s.peerErrs
 }
 
-// Get returns the table stored under key. A miss in memory falls through
-// to the disk tier and promotes the loaded table; a miss there falls
-// through to the peer tier (when configured) and fills both local tiers
-// on a hit. Only a miss in every tier counts as a miss. Keys that are
-// not 64-hex-char hashes (i.e. not produced by Request.Key) always miss.
+// Get returns the table stored under key: the local tiers (GetLocal's
+// lookup), then the peer tier when configured, which fills both local
+// tiers on a hit. Only a miss in every tier counts as a miss. Keys that
+// are not 64-hex-char hashes (i.e. not produced by Request.Key) always
+// miss.
 func (s *Store) Get(key string) (*stats.Table, bool) {
-	if !validKey(key) {
-		s.mu.Lock()
-		s.misses++
-		s.mu.Unlock()
-		return nil, false
+	tab := s.local(key)
+	if tab == nil && validKey(key) {
+		tab = s.peerGet(key)
 	}
-	s.mu.Lock()
-	if el, ok := s.byKey[key]; ok {
-		s.ll.MoveToFront(el)
-		s.hits++
-		tab := el.Value.(*storeEntry).tab
-		s.mu.Unlock()
-		return tab, true
-	}
-	s.mu.Unlock()
-
-	if tab := s.load(key); tab != nil {
-		s.mu.Lock()
-		s.hits++
-		s.insertLocked(key, tab)
-		s.mu.Unlock()
-		return tab, true
-	}
-
-	if tab, ok := s.peerGet(key); ok {
-		s.mu.Lock()
-		s.hits++
-		s.mu.Unlock()
-		return tab, true
-	}
-
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
-	return nil, false
+	return s.count(tab)
 }
 
 // GetLocal is Get restricted to the memory and disk tiers: it never
-// consults peers. The peer-envelope endpoint serves through it, so two
-// shards can never chase each other in a fetch loop for a key neither
-// owns.
+// consults peers. A coordinator's submission dedup reads through it, so
+// fresh work does not pay a fleet-wide round of peer RPCs.
 func (s *Store) GetLocal(key string) (*stats.Table, bool) {
+	return s.count(s.local(key))
+}
+
+// local looks key up in the memory tier, then in the disk tier, and
+// promotes a table loaded from disk into memory; nil on a miss.
+func (s *Store) local(key string) *stats.Table {
 	if !validKey(key) {
-		s.mu.Lock()
-		s.misses++
-		s.mu.Unlock()
-		return nil, false
+		return nil
 	}
 	s.mu.Lock()
+	var tab *stats.Table
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
-		s.hits++
-		tab := el.Value.(*storeEntry).tab
-		s.mu.Unlock()
-		return tab, true
+		tab = el.Value.(*storeEntry).tab
 	}
 	s.mu.Unlock()
-	if tab := s.load(key); tab != nil {
-		s.mu.Lock()
-		s.hits++
-		s.insertLocked(key, tab)
-		s.mu.Unlock()
-		return tab, true
+	if tab == nil {
+		if tab = s.load(key); tab != nil {
+			s.mu.Lock()
+			s.insertLocked(key, tab)
+			s.mu.Unlock()
+		}
 	}
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
-	return nil, false
+	return tab
+}
+
+// count records one lookup's outcome, a hit when tab is non-nil and a
+// miss otherwise, and returns it.
+func (s *Store) count(tab *stats.Table) (*stats.Table, bool) {
+	if tab == nil {
+		s.add(&s.misses)
+		return nil, false
+	}
+	s.add(&s.hits)
+	return tab, true
 }
 
 // peerGet consults the peer tier for key, single-flighting concurrent
 // fetches: the first reader performs the RPC while latecomers wait for
-// its outcome, so a stampede on one key costs one fetch. A hit fills the
-// memory tier (and, inside fetchFromPeer, the disk tier).
-func (s *Store) peerGet(key string) (*stats.Table, bool) {
+// its outcome, so a stampede on one key costs one fetch. A hit fills
+// both local tiers; nil on a miss.
+func (s *Store) peerGet(key string) *stats.Table {
 	s.mu.Lock()
 	fetch, timeout := s.peerFetch, s.peerTimeout
 	if fetch == nil {
 		s.mu.Unlock()
-		return nil, false
+		return nil
 	}
 	if c, ok := s.peerCalls[key]; ok {
 		s.mu.Unlock()
 		<-c.done
-		return c.tab, c.ok
+		return c.tab
 	}
 	c := &peerCall{done: make(chan struct{})}
 	s.peerCalls[key] = c
 	s.mu.Unlock()
 
-	tab, ok := s.fetchFromPeer(fetch, timeout, key)
+	c.tab = s.fetchFromPeer(fetch, timeout, key)
 
 	s.mu.Lock()
-	c.tab, c.ok = tab, ok
 	delete(s.peerCalls, key)
-	if ok {
+	if c.tab != nil {
 		s.peerHits++
-		s.insertLocked(key, tab)
 	}
 	s.mu.Unlock()
 	close(c.done)
-	return tab, ok
+	return c.tab
 }
 
 // fetchFromPeer performs one peer fetch under the peer deadline and
-// validates the returned envelope: version, key and table must all
-// check out, or the response is counted as a peer error and served as a
-// miss. A valid envelope is written through to the disk tier verbatim,
-// so a peer-filled replica file is byte-identical to the owner's.
-func (s *Store) fetchFromPeer(fetch PeerFetchFunc, timeout time.Duration, key string) (*stats.Table, bool) {
+// fills the local tiers with the envelope (fill). A transport failure or
+// an envelope that fails decodeEnvelope is counted as a peer error and
+// served as a miss; a (nil, nil) answer is a clean miss.
+func (s *Store) fetchFromPeer(fetch PeerFetchFunc, timeout time.Duration, key string) *stats.Table {
 	if err := s.fire("store.peer"); err != nil {
-		s.countPeerErr()
-		return nil, false
+		s.add(&s.peerErrs)
+		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	b, err := fetch(ctx, key)
+	if err == nil && b == nil {
+		return nil // clean miss: no peer has the key
+	}
+	var tab *stats.Table
+	if err == nil {
+		tab, err = s.fill(key, b)
+	}
 	if err != nil {
-		s.countPeerErr()
-		return nil, false
+		s.add(&s.peerErrs)
 	}
-	if b == nil {
-		return nil, false // authoritative miss: the owner has no such key
-	}
-	var sr storedResult
-	if err := json.Unmarshal(b, &sr); err != nil ||
-		sr.Version != SimVersion || sr.Key != key || sr.Table == nil {
-		s.countPeerErr()
-		return nil, false
+	return tab
+}
+
+// fill stores a received envelope (a peer fetch's or a replica's) in
+// both local tiers once decodeEnvelope accepts it: written to the disk
+// tier verbatim — so the file is byte-identical to the one on the node
+// that produced it; a failed write is counted, and the table still
+// serves from memory — and inserted into the memory tier.
+func (s *Store) fill(key string, b []byte) (*stats.Table, error) {
+	tab, err := decodeEnvelope(key, b)
+	if err != nil {
+		return nil, err
 	}
 	if s.dir != "" {
 		if err := s.writeFileAtomic(key, b); err != nil {
-			s.countDiskErr() // fill failure: result still served from memory
+			s.add(&s.diskErrs)
 		}
 	}
-	return sr.Table, true
+	s.mu.Lock()
+	s.insertLocked(key, tab)
+	s.mu.Unlock()
+	return tab, nil
 }
 
 // Envelope returns the raw stored-result envelope for key from the
 // local tiers only: the on-disk file verbatim when present, otherwise an
-// envelope reconstructed around the memory-tier table. It backs the
+// envelope encoded around the memory-tier table. It backs the
 // peer-fetch endpoint, so it deliberately never consults peers itself.
 func (s *Store) Envelope(key string) ([]byte, bool) {
 	if !validKey(key) {
@@ -291,39 +278,19 @@ func (s *Store) Envelope(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	b, err := json.MarshalIndent(storedResult{Version: SimVersion, Key: key, Table: tab}, "", "  ")
-	if err != nil {
-		return nil, false
-	}
-	return append(b, '\n'), true
+	b, err := encodeEnvelope(key, Request{}, tab)
+	return b, err == nil
 }
 
-// PutEnvelope stores a raw stored-result envelope under key: validated
-// like a peer fetch (version, key and table must check out), written to
-// the disk tier verbatim — so a replicated file is byte-identical to
-// the one on the node that produced it — and decoded into the memory
-// tier. It backs the cluster's result replication (PUT /v1/store/{key});
+// PutEnvelope stores a raw stored-result envelope under key (fill): it
+// backs the cluster's result replication (PUT /v1/store/{key}), and
 // content-addressing makes it naturally idempotent.
 func (s *Store) PutEnvelope(key string, b []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("service: refusing to store malformed key %q", key)
 	}
-	var sr storedResult
-	if err := json.Unmarshal(b, &sr); err != nil {
-		return fmt.Errorf("service: bad envelope for %q: %w", key, err)
-	}
-	if sr.Version != SimVersion || sr.Key != key || sr.Table == nil {
-		return fmt.Errorf("service: envelope for %q fails validation (version %q, key %q)", key, sr.Version, sr.Key)
-	}
-	if s.dir != "" {
-		if err := s.writeFileAtomic(key, b); err != nil {
-			s.countDiskErr() // fill failure: the replica still serves from memory
-		}
-	}
-	s.mu.Lock()
-	s.insertLocked(key, sr.Table)
-	s.mu.Unlock()
-	return nil
+	_, err := s.fill(key, b)
+	return err
 }
 
 // Put stores the table under key in both tiers. Callers must not mutate
@@ -399,15 +366,10 @@ func (s *Store) fire(point string) error {
 	return f.Fire(point)
 }
 
-func (s *Store) countDiskErr() {
+// add bumps one of the store's counters.
+func (s *Store) add(n *int64) {
 	s.mu.Lock()
-	s.diskErrs++
-	s.mu.Unlock()
-}
-
-func (s *Store) countPeerErr() {
-	s.mu.Lock()
-	s.peerErrs++
+	*n++
 	s.mu.Unlock()
 }
 
@@ -426,35 +388,62 @@ func validKey(key string) bool {
 	}) < 0
 }
 
-// load reads one result from the disk tier; nil on any miss, version
-// mismatch, or decode error (a corrupt file is served as a miss, not a
-// failure, but read errors and corruption are counted in DiskErrors —
-// a version mismatch is expected after a SimVersion bump and is not).
-// Callers have already validated the key.
+// errStaleVersion marks an envelope written under another SimVersion.
+var errStaleVersion = errors.New("service: envelope from another SimVersion")
+
+// decodeEnvelope is the one envelope check, for the disk tier, the peer
+// fill and replication alike: b must decode to an envelope of the
+// current SimVersion, for key, holding a table. Each caller counts a
+// failure its own way.
+func decodeEnvelope(key string, b []byte) (*stats.Table, error) {
+	var sr storedResult
+	if err := json.Unmarshal(b, &sr); err != nil {
+		return nil, fmt.Errorf("service: bad envelope for %q: %w", key, err)
+	}
+	if sr.Version != SimVersion {
+		return nil, fmt.Errorf("%w: %q for %q", errStaleVersion, sr.Version, key)
+	}
+	if sr.Key != key || sr.Table == nil {
+		return nil, fmt.Errorf("service: envelope for %q fails validation (key %q, table %t)", key, sr.Key, sr.Table != nil)
+	}
+	return sr.Table, nil
+}
+
+// encodeEnvelope is the one envelope encoder: the bytes of a result file
+// and of the peer-fetch wire format.
+func encodeEnvelope(key string, req Request, tab *stats.Table) ([]byte, error) {
+	b, err := json.MarshalIndent(storedResult{Version: SimVersion, Key: key, Request: req, Table: tab}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// load reads one result from the disk tier; nil on any miss. Read
+// errors and envelopes decodeEnvelope rejects are counted in DiskErrors
+// (a corrupt file is served as a miss, not a failure), except a version
+// mismatch, which is expected after a SimVersion bump. Callers have
+// already validated the key.
 func (s *Store) load(key string) *stats.Table {
 	if s.dir == "" {
 		return nil
 	}
 	if err := s.fire("store.load"); err != nil {
-		s.countDiskErr()
+		s.add(&s.diskErrs)
 		return nil
 	}
 	b, err := os.ReadFile(s.path(key))
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
-			s.countDiskErr()
+			s.add(&s.diskErrs)
 		}
 		return nil
 	}
-	var sr storedResult
-	if err := json.Unmarshal(b, &sr); err != nil || (sr.Version == SimVersion && sr.Table == nil) {
-		s.countDiskErr()
-		return nil
+	tab, err := decodeEnvelope(key, b)
+	if err != nil && !errors.Is(err, errStaleVersion) {
+		s.add(&s.diskErrs)
 	}
-	if sr.Version != SimVersion {
-		return nil
-	}
-	return sr.Table
+	return tab
 }
 
 // persist writes one result file atomically and durably: the temp file
@@ -464,22 +453,17 @@ func (s *Store) load(key string) *stats.Table {
 func (s *Store) persist(key string, req Request, tab *stats.Table) (err error) {
 	defer func() {
 		if err != nil {
-			s.countDiskErr()
+			s.add(&s.diskErrs)
 		}
 	}()
 	if err := s.fire("store.persist"); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(storedResult{
-		Version: SimVersion,
-		Key:     key,
-		Request: req,
-		Table:   tab,
-	}, "", "  ")
+	b, err := encodeEnvelope(key, req, tab)
 	if err != nil {
 		return err
 	}
-	return s.writeFileAtomic(key, append(b, '\n'))
+	return s.writeFileAtomic(key, b)
 }
 
 // writeFileAtomic writes b to the key's result file atomically and

@@ -255,3 +255,67 @@ func TestStorePeerFaultPoint(t *testing.T) {
 		t.Fatal("healed peer tier still missing")
 	}
 }
+
+// TestStoreLookupCountsOnce: Get and GetLocal share one local lookup,
+// and every call counts exactly one hit or one miss in Stats, whichever
+// tier answers: memory, disk, peer or none. GetLocal never calls the
+// peer tier, so a key only a peer holds is a miss to it.
+func TestStoreLookupCountsOnce(t *testing.T) {
+	memKey, diskKey, peerKey, missKey := testKey(0), testKey(1), testKey(2), testKey(3)
+	peerEnv := ownerEnvelope(t, peerKey)
+	for _, local := range []bool{false, true} {
+		dir := t.TempDir()
+		earlier, err := NewStore(4, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := earlier.Put(diskKey, Request{}, testTable("disk")); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewStore(4, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(memKey, Request{}, testTable("mem")); err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int64
+		s.SetPeers(func(_ context.Context, k string) ([]byte, error) {
+			calls.Add(1)
+			if k == peerKey {
+				return peerEnv, nil
+			}
+			return nil, nil
+		}, 0)
+		name, lookup := "Get", s.Get
+		if local {
+			name, lookup = "GetLocal", s.GetLocal
+		}
+		for _, tc := range []struct {
+			tier string
+			key  string
+			hit  bool
+		}{
+			{"memory", memKey, true},
+			{"disk", diskKey, true},
+			{"peer", peerKey, !local},
+			{"none", missKey, false},
+		} {
+			h0, m0 := s.Stats()
+			if _, ok := lookup(tc.key); ok != tc.hit {
+				t.Errorf("%s on a %s key: hit %v, want %v", name, tc.tier, ok, tc.hit)
+			}
+			h1, m1 := s.Stats()
+			wantH, wantM := int64(0), int64(1)
+			if tc.hit {
+				wantH, wantM = 1, 0
+			}
+			if h1-h0 != wantH || m1-m0 != wantM {
+				t.Errorf("%s on a %s key counted %d hits, %d misses; want %d, %d", name, tc.tier, h1-h0, m1-m0, wantH, wantM)
+			}
+		}
+		if want := map[bool]int64{false: 2, true: 0}[local]; calls.Load() != want {
+			t.Errorf("%s called the peer tier %d times, want %d", name, calls.Load(), want)
+		}
+	}
+}

@@ -185,6 +185,19 @@ func TestStoreDiskErrors(t *testing.T) {
 	if _, ok := s2.Get(testKey(3)); !ok {
 		t.Fatal("load failed after fault budget spent")
 	}
+
+	// A current-version file that names another key: corruption, counted.
+	misfiled := testKey(4)
+	b, _ = json.Marshal(storedResult{Version: SimVersion, Key: testKey(5), Table: testTable("elsewhere")})
+	if err := os.WriteFile(filepath.Join(dir, misfiled+".json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.Get(misfiled); ok {
+		t.Fatal("misfiled envelope served")
+	}
+	if got := s2.DiskErrors(); got != 2 {
+		t.Fatalf("disk errors after misfiled load = %d, want 2", got)
+	}
 }
 
 // TestStoreRejectsMalformedKeys: only 64-hex-char keys reach the
