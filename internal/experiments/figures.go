@@ -297,8 +297,8 @@ func MispredictCensus(opts Options) *stats.Table {
 	}
 	rows := make([]censusRow, len(opts.Workloads))
 	runPool(&opts, len(opts.Workloads), func(i int) {
-		w := &opts.Workloads[i]
-		res := opts.simulate(w, catalogue[SchemeBaseline]).res
+		img := &image{w: &opts.Workloads[i]}
+		res := opts.simulate(img, catalogue[SchemeBaseline]).res
 
 		type pcMiss struct {
 			pc   int
@@ -332,8 +332,9 @@ func MispredictCensus(opts Options) *stats.Table {
 
 		// Classify misprediction sources via the static CFG, using the
 		// DMP criterion: convergent iff *both* paths re-join within the
-		// learning window (N = 40).
-		p, _ := w.Build()
+		// learning window (N = 40). The program is the simulation's,
+		// built here if the simulation was a memo hit.
+		p, _ := img.build(opts.Stats)
 		bounded := map[int]bool{}
 		for _, hm := range prog.AnalyzeHammocks(p, 40) {
 			bounded[hm.BranchPC] = true

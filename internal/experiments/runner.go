@@ -6,7 +6,9 @@
 //
 // Every simulation goes through one run path (Options.simulate), keyed by
 // everything that decides its result and memoized for the life of its
-// Options value, so experiments that share a simulation run it once.
+// Options value, so experiments that share a simulation run it once. A
+// grid builds each workload's image once and runs every engine on a
+// copy-on-write clone of it.
 // Simulations are independent and seed-deterministic, so the harness fans
 // them out over a bounded worker pool (Options.Jobs); results are
 // aggregated by job index, which makes the emitted tables byte-identical
@@ -24,6 +26,7 @@ import (
 
 	"acb/internal/config"
 	"acb/internal/dmp"
+	"acb/internal/isa"
 	"acb/internal/ooo"
 	"acb/internal/stats"
 	"acb/internal/workload"
@@ -110,16 +113,23 @@ func (o *Options) fill() {
 }
 
 // RunnerStats accumulates runner totals: simulations run (a memo hit is
-// not one), pool wall-clock time, the cumulative single-threaded
-// simulation time (each run's whole computation: DMP profile, image
-// build and run; its ratio to wall time is the effective parallel
-// speedup; sampled-fig6's sampled runs count in it), and total simulated
-// cycles — the numerator of the harness's own cycles-per-second
-// throughput metric.
-type RunnerStats struct{ sims, wall, sim, cycles atomic.Int64 }
+// not one), workload images built and the time spent building them (a
+// DMP profile's training image is part of its profile), pool wall-clock
+// time, the cumulative single-threaded simulation time (each run's whole
+// computation: DMP profile, image build if it builds one, and run; its
+// ratio to wall time is the effective parallel speedup; sampled-fig6's
+// sampled runs count in it), and total simulated cycles — the numerator
+// of the harness's own cycles-per-second throughput metric.
+type RunnerStats struct{ sims, builds, build, wall, sim, cycles atomic.Int64 }
 
 // Simulations returns the number of simulations run.
 func (s *RunnerStats) Simulations() int64 { return s.sims.Load() }
+
+// Builds returns the number of workload images built.
+func (s *RunnerStats) Builds() int64 { return s.builds.Load() }
+
+// BuildTime returns the cumulative time spent building workload images.
+func (s *RunnerStats) BuildTime() time.Duration { return time.Duration(s.build.Load()) }
 
 // Cycles returns the total simulated cycles.
 func (s *RunnerStats) Cycles() int64 { return s.cycles.Load() }
@@ -146,8 +156,9 @@ func (s *RunnerStats) String() string {
 	if x, ok := s.Speedup(); ok {
 		sp = fmt.Sprintf("%.2fx", x)
 	}
-	return fmt.Sprintf("%d simulations, wall %s, sim %s, effective speedup %s",
-		s.Simulations(), s.Wall().Round(time.Millisecond), s.Sim().Round(time.Millisecond), sp)
+	return fmt.Sprintf("%d simulations, %d builds (%s), wall %s, sim %s, effective speedup %s",
+		s.Simulations(), s.Builds(), s.BuildTime().Round(time.Millisecond),
+		s.Wall().Round(time.Millisecond), s.Sim().Round(time.Millisecond), sp)
 }
 
 // poolError carries the first job failure out of a pool. It wraps the
@@ -259,17 +270,46 @@ type run struct {
 	scheme ooo.Scheme
 }
 
+// image is one workload's program and memory image, built at most once
+// and shared by every simulation of the workload that uses it: each runs
+// on a CloneCOW of the memory. The built memory owns no page, so
+// concurrent clones of it only read it.
+type image struct {
+	w    *workload.Workload
+	once sync.Once
+	prog []isa.Instruction
+	mem  *isa.Memory
+}
+
+// build returns the image's program and frozen memory, building them
+// first if no caller has, and counts the build in stats (nil = not
+// counted).
+func (im *image) build(stats *RunnerStats) ([]isa.Instruction, *isa.Memory) {
+	im.once.Do(func() {
+		start := time.Now()
+		p, m := im.w.Build()
+		im.prog, im.mem = p, m.CloneCOW() // the clone owns no page
+		if stats != nil {
+			stats.builds.Add(1)
+			stats.build.Add(int64(time.Since(start)))
+		}
+	})
+	return im.prog, im.mem
+}
+
 // simulate is the one run path: every simulation of every experiment
-// runs workload w on engine e here, through the Options' memo, so a
+// runs a workload on engine e here, through the Options' memo, so a
 // simulation already run (or running) under the same key is not run
-// again. A miss builds w's own image and the engine, runs under
-// o.Context, and counts the run's cycles, CPI stack and progress. A
-// failed or cancelled run panics with the wrapped error, which runPool
-// re-raises and Run recovers, so a cancellation stays errors.Is-able.
-func (o *Options) simulate(w *workload.Workload, e Engine) run {
+// again. A miss builds img unless another simulation has, builds the
+// engine, runs on a CloneCOW of the image under o.Context, and counts
+// the run's cycles, CPI stack and progress. A failed or cancelled run
+// panics with the wrapped error, which runPool re-raises and Run
+// recovers, so a cancellation stays errors.Is-able.
+func (o *Options) simulate(img *image, e Engine) run {
 	if e.Predictor == "" {
 		e.Predictor = "tage"
 	}
+	w := img.w
 	key := runKey{w.Name, w.Spec.Seed, o.Config, e, o.Budget}
 	return o.memo.runs.do(key, func() run {
 		// The whole computation is simulation time, as it is pool wall
@@ -281,9 +321,9 @@ func (o *Options) simulate(w *workload.Workload, e Engine) run {
 		if err != nil {
 			panic(err)
 		}
-		p, m := w.Build()
+		p, m := img.build(o.Stats)
 		scheme := newScheme()
-		c := ooo.NewWithMemory(o.Config, p, newPredictor(), scheme, m)
+		c := ooo.NewWithMemory(o.Config, p, newPredictor(), scheme, m.CloneCOW())
 		c.EnableCPIStack()
 		res, err := c.RunContext(o.Context, o.Budget)
 		if err != nil {
@@ -303,12 +343,26 @@ func (o *Options) simulate(w *workload.Workload, e Engine) run {
 }
 
 // runGrid simulates every workload on every engine on the worker pool and
-// returns the runs indexed [workload][engine].
+// returns the runs indexed [workload][engine]. A workload's engines share
+// one image, built by the first of them to miss the memo and dropped
+// after the last, so no more images are alive than workloads in flight.
 func runGrid(opts *Options, ws []workload.Workload, engines []Engine) [][]run {
 	ne := len(engines)
+	images := make([]*image, len(ws))
+	left := make([]atomic.Int32, len(ws)) // engines yet to finish
+	for i := range ws {
+		images[i] = &image{w: &ws[i]}
+		left[i].Store(int32(ne))
+	}
 	flat := make([]run, len(ws)*ne)
 	runPool(opts, len(flat), func(i int) {
-		flat[i] = opts.simulate(&ws[i/ne], engines[i%ne])
+		wi := i / ne
+		defer func() {
+			if left[wi].Add(-1) == 0 {
+				images[wi] = nil
+			}
+		}()
+		flat[i] = opts.simulate(images[wi], engines[i%ne])
 	})
 	grid := make([][]run, len(ws))
 	for i := range grid {

@@ -48,31 +48,36 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 // TestProfileCacheSingleFlight hammers the run path with every DMP-family
 // scheme from many goroutines (run under -race in CI): each workload must
-// be profiled exactly once and each simulation run once, and every caller
-// must observe the same result.
+// be profiled exactly once, its one shared image built once, and each
+// simulation run once, and every caller must observe the same result.
 func TestProfileCacheSingleFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling runs")
 	}
 	opts := smallOpts(t, "omnetpp", "xalancbmk")
 	opts.Budget = 20_000
+	opts.Stats = &RunnerStats{}
 	opts.fill()
 	kinds := []SchemeKind{SchemeDMP, SchemeDMPPBH, SchemeDHP}
 
+	images := make([]*image, len(opts.Workloads))
+	for i := range images {
+		images[i] = &image{w: &opts.Workloads[i]}
+	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	got := map[string][]ooo.Result{}
 	for g := 0; g < 8; g++ {
-		for i := range opts.Workloads {
+		for _, img := range images {
 			for _, k := range kinds {
 				wg.Add(1)
-				go func(w *workload.Workload, k SchemeKind) {
+				go func(k SchemeKind) {
 					defer wg.Done()
-					res := opts.simulate(w, catalogue[k]).res
+					res := opts.simulate(img, catalogue[k]).res
 					mu.Lock()
-					got[w.Name+"/"+string(k)] = append(got[w.Name+"/"+string(k)], res)
+					got[img.w.Name+"/"+string(k)] = append(got[img.w.Name+"/"+string(k)], res)
 					mu.Unlock()
-				}(&opts.Workloads[i], k)
+				}(k)
 			}
 		}
 	}
@@ -80,6 +85,9 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 
 	if n := opts.memo.profiles.execs.Load(); n != int64(len(opts.Workloads)) {
 		t.Fatalf("dmp.Profile ran %d times for %d workloads, want exactly one per workload", n, len(opts.Workloads))
+	}
+	if n := opts.Stats.Builds(); n != int64(len(opts.Workloads)) {
+		t.Fatalf("%d images built for %d workloads, want exactly one per workload", n, len(opts.Workloads))
 	}
 	if n, want := opts.memo.runs.execs.Load(), int64(len(opts.Workloads)*len(kinds)); n != want {
 		t.Fatalf("%d simulations ran, want %d", n, want)
@@ -126,6 +134,49 @@ func TestMemoRunsEachSimulationOnce(t *testing.T) {
 	}
 	if opts.Stats.Cycles() <= 0 {
 		t.Fatal("no simulated cycles counted")
+	}
+}
+
+// TestGridBuildsEachImageOnce: a grid builds each workload's image once
+// for all its engines, serial or parallel (one build per simulation would
+// be 4 for Fig. 6 on two workloads), and a rerun on the same Options, all
+// memo hits, builds none. The census and sampled-fig6 build one per
+// workload, for their program and sampled run, whether or not their
+// simulation ran.
+func TestGridBuildsEachImageOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	for _, jobs := range []int{1, 2} {
+		opts := smallOpts(t, "gcc", "h264ref")
+		opts.Budget = 20_000
+		opts.Jobs = jobs
+		opts.Stats = &RunnerStats{}
+		builds := opts.Stats.Builds
+		Figure6(opts)
+		if got := builds(); got != 2 {
+			t.Fatalf("-jobs %d: fig6 on two workloads built %d images, want 2", jobs, got)
+		}
+		if opts.Stats.BuildTime() <= 0 || opts.Stats.BuildTime() > opts.Stats.Sim() {
+			t.Fatalf("-jobs %d: build time %s outside simulation time %s", jobs, opts.Stats.BuildTime(), opts.Stats.Sim())
+		}
+		Figure6(opts)
+		if got := builds(); got != 2 {
+			t.Fatalf("-jobs %d: a fig6 rerun built %d images, want none", jobs, got-2)
+		}
+	}
+	opts := smallOpts(t, "gcc", "h264ref")
+	opts.Budget = 20_000
+	opts.Stats = &RunnerStats{}
+	for _, e := range []struct {
+		name string
+		run  func(Options) *stats.Table
+	}{{"mispredict-census", MispredictCensus}, {"sampled-fig6", SampledFig6}, {"mispredict-census rerun", MispredictCensus}} {
+		before := opts.Stats.Builds()
+		e.run(opts)
+		if got := opts.Stats.Builds() - before; got != 2 {
+			t.Errorf("%s on two workloads built %d images, want 2", e.name, got)
+		}
 	}
 }
 
@@ -178,8 +229,8 @@ func TestMemoKeysOnSeed(t *testing.T) {
 	w := opts.Workloads[0]
 	other := w
 	other.Spec.Seed++
-	a := opts.simulate(&w, catalogue[SchemeBaseline]).res
-	b := opts.simulate(&other, catalogue[SchemeBaseline]).res
+	a := opts.simulate(&image{w: &w}, catalogue[SchemeBaseline]).res
+	b := opts.simulate(&image{w: &other}, catalogue[SchemeBaseline]).res
 	if got := opts.Stats.Simulations(); got != 2 {
 		t.Fatalf("%d simulations for two seeds, want 2", got)
 	}
@@ -257,13 +308,13 @@ func TestMemoCancelledRunIsNotCached(t *testing.T) {
 				t.Fatalf("cancelled run panicked with %v, want context.Canceled", err)
 			}
 		}()
-		opts.simulate(&opts.Workloads[0], catalogue[SchemeACB])
+		opts.simulate(&image{w: &opts.Workloads[0]}, catalogue[SchemeACB])
 	}()
 	if n := len(opts.memo.runs.calls); n != 0 {
 		t.Fatalf("cancelled run left %d memo entries", n)
 	}
 	opts.Context = context.Background()
-	if res := opts.simulate(&opts.Workloads[0], catalogue[SchemeACB]).res; res.Retired < opts.Budget {
+	if res := opts.simulate(&image{w: &opts.Workloads[0]}, catalogue[SchemeACB]).res; res.Retired < opts.Budget {
 		t.Fatalf("retry retired %d instructions, want %d", res.Retired, opts.Budget)
 	}
 	if got := opts.Stats.Simulations(); got != 1 {

@@ -43,12 +43,13 @@ func SampledFig6(opts Options) *stats.Table {
 	}
 	rows := make([]row, len(opts.Workloads))
 	runPool(&opts, len(opts.Workloads), func(i int) {
-		w := opts.Workloads[i]
-		p, m := w.Build()
-
-		full := opts.simulate(&w, catalogue[SchemeBaseline]).res
+		w := &opts.Workloads[i]
+		img := &image{w: w}
+		full := opts.simulate(img, catalogue[SchemeBaseline]).res
+		// The sampled run builds the image if the full run was a memo hit.
 		start := time.Now()
-		est, err := sample.Run(p, m, plan, sample.Options{
+		p, m := img.build(opts.Stats)
+		est, err := sample.Run(p, m.CloneCOW(), plan, sample.Options{
 			Budget:  opts.Budget,
 			Config:  opts.Config,
 			Verify:  true,

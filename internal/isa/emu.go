@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -22,6 +23,8 @@ import (
 // first Store to a shared page copies it and sets the bit. CloneCOW copies
 // the table with every bit clear and clears the receiver's bits, so
 // checkpointing a multi-MB image costs a table copy instead of a byte copy.
+// WriteWords fills a range through one slice: the range's pages become
+// windows of one buffer that the memory owns.
 type Memory struct {
 	dense []slot         // page i at dense[i], for i < densePages
 	far   map[int64]slot // every resident page outside the dense range
@@ -91,36 +94,95 @@ func (m *Memory) storeSlow(addr, val int64) {
 	idx := addr >> PageShift
 	var p *page
 	if uint64(idx) < densePages {
-		if n := int(idx) + 1; n > len(m.dense) {
-			m.dense = append(m.dense, make([]slot, n-len(m.dense))...)
-		}
+		m.reach(idx)
 		p = m.own(&m.dense[idx])
 	} else {
 		s := m.far[idx]
 		if !s.own {
-			if m.far == nil {
-				m.far = make(map[int64]slot)
-			}
 			m.own(&s)
-			m.far[idx] = s
+			m.setFar(idx, s)
 		}
 		p = s.p
 	}
 	p[addr>>3&(pageWords-1)] = val
 }
 
+// reach grows the dense table to hold page idx, which is below densePages.
+func (m *Memory) reach(idx int64) {
+	if n := int(idx) + 1; n > len(m.dense) {
+		m.dense = append(m.dense, make([]slot, n-len(m.dense))...)
+	}
+}
+
+// setFar stores slot s for far page idx.
+func (m *Memory) setFar(idx int64, s slot) {
+	if m.far == nil {
+		m.far = make(map[int64]slot)
+	}
+	m.far[idx] = s
+}
+
 // own makes s's page private to m: a fresh zero page if s is empty, a
 // copy if the page is shared with a COW sibling.
 func (m *Memory) own(s *slot) *page {
 	if !s.own {
-		p := new(page)
-		if s.p != nil {
-			*p = *s.p
-		}
-		*s = slot{p: p, own: true}
-		m.owned++
+		m.install(s, new(page))
 	}
 	return s.p
+}
+
+// install makes p, a page no memory holds, the owned page of s, holding
+// the words of the page it replaces.
+func (m *Memory) install(s *slot, p *page) {
+	if s.p != nil {
+		*p = *s.p
+	}
+	if !s.own {
+		m.owned++
+	}
+	*s = slot{p: p, own: true}
+}
+
+// WriteWords hands f the n words from byte address addr up (the low three
+// address bits are ignored) as one contiguous slice backed by the pages
+// that hold them, so f fills a table at slice speed instead of paying a
+// page lookup per Store. Every page the range touches is resident and
+// owned while f runs: its words are copied in first, so words f leaves
+// alone keep their values, and a page shared with a COW sibling is
+// replaced, so the sibling never sees f's writes. The slice is valid only
+// during the call, because a later CloneCOW shares its pages; f must not
+// take one of m.
+//
+// It panics if n is negative or the range runs past the highest address.
+func (m *Memory) WriteWords(addr int64, n int, f func(words []int64)) {
+	first := addr >> 3
+	if n < 0 || int64(n)-1 > math.MaxInt64>>3-first {
+		panic(fmt.Sprintf("isa: WriteWords(%#x, %d) leaves the address space", addr, n))
+	}
+	if n == 0 {
+		f(nil)
+		return
+	}
+	lo, hi := addr>>PageShift, (first+int64(n)-1)>>(PageShift-3)
+	buf := make([]int64, (hi-lo+1)*pageWords)
+	if hi >= 0 && lo < densePages {
+		m.reach(min(hi, densePages-1))
+	}
+	for idx := lo; ; idx++ {
+		p := (*page)(buf[(idx-lo)*pageWords:])
+		if uint64(idx) < densePages {
+			m.install(&m.dense[idx], p)
+		} else {
+			s := m.far[idx]
+			m.install(&s, p)
+			m.setFar(idx, s)
+		}
+		if idx == hi { // hi may be the highest page, past which idx wraps
+			break
+		}
+	}
+	off := first - lo*pageWords
+	f(buf[off : off+int64(n)])
 }
 
 // Clone returns a deep copy of the memory.

@@ -78,15 +78,21 @@ var fuzzBases = []int64{
 	math.MaxInt64 - 1<<10 + 1,    // the highest page
 }
 
-// FuzzMemory drives random Store, Load, CloneCOW, Clone, DiffWords, Words,
-// Equal and Footprint sequences over a tree of up to eight memories made
-// by CloneCOW and Clone, and checks every result against a plain map
-// model.
+// FuzzMemory drives random Store, WriteWords, Load, CloneCOW, Clone,
+// DiffWords, Words, Equal and Footprint sequences over a tree of up to
+// eight memories made by CloneCOW and Clone, and checks every result
+// against a plain map model.
 func FuzzMemory(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 0, 5, 2, 0, 0, 1, 3, 0, 0, 9, 1, 1, 3, 0, 0, 4, 0, 1, 2})
 	f.Add([]byte{0, 0, 6, 128, 0, 7, 0, 0, 5, 127, 7, 1, 2, 0, 0, 1, 6, 128, 0, 3, 4, 0, 1, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 8, 255, 7, 2, 2, 0, 0, 1, 1, 0, 0, 9, 3, 1, 0, 3, 6, 0})
 	f.Add([]byte{0, 0, 2, 255, 7, 9, 3, 0, 2, 0, 1, 8, 0, 3, 0, 0, 2, 255, 0, 5, 4, 1, 0, 0})
+	// WriteWords over an owned page and the next, fresh one, then from a
+	// fresh page into two a COW sibling shares; mid-page into a shared
+	// page; a range ending at the highest word, then one running past it.
+	f.Add([]byte{0, 0, 4, 2, 0, 5, 7, 0, 4, 0, 3, 200, 1, 3, 9, 2, 0, 7, 0, 4, 128, 0, 255, 3, 1, 250, 6, 1, 4, 0, 1, 1})
+	f.Add([]byte{0, 0, 3, 0, 0, 5, 2, 0, 7, 1, 3, 64, 5, 1, 0, 2, 4, 4, 1, 0, 3, 7, 0, 8, 100, 2, 0, 1, 1, 7, 0, 1, 0, 0, 0, 0, 7})
+	f.Add([]byte{7, 0, 8, 120, 0, 2, 0, 0, 9, 7, 0, 8, 127, 7, 1, 0, 0, 5, 6, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -104,7 +110,7 @@ func FuzzMemory(f *testing.F) {
 			return base + int64(int8(next()))*8 + int64(next()&7)
 		}
 		for len(data) > 0 {
-			switch op := next() % 7; op {
+			switch op := next() % 8; op {
 			case 0:
 				k, a, v := pick(), addr(), int64(int8(next()))
 				mems[k].Store(a, v)
@@ -145,6 +151,43 @@ func FuzzMemory(f *testing.F) {
 				if got, want := mems[k].Footprint(), len(models[k].pages); got != want {
 					t.Fatalf("memory %d: Footprint = %d, model %d", k, got, want)
 				}
+			case 7:
+				// Up to 1023 words from any access address, so ranges
+				// start and end mid-page and span up to three pages; every
+				// stride-th word is written.
+				k, a := pick(), addr()
+				n := int(next())*4 + int(next()&3)
+				stride, v := int(next()%8)+1, int64(int8(next()))
+				first := a >> 3
+				fill := func(ws []int64) {
+					if len(ws) != n {
+						t.Fatalf("memory %d: WriteWords(%#x, %d) handed %d words", k, a, n, len(ws))
+					}
+					for i, w := range ws {
+						if want := models[k].words[first+int64(i)]; w != want {
+							t.Fatalf("memory %d: WriteWords(%#x, %d) word %d reads %d, model %d", k, a, n, i, w, want)
+						}
+					}
+					for i := 0; i < n; i += stride {
+						ws[i] = v + int64(i)
+					}
+				}
+				if int64(n)-1 > math.MaxInt64>>3-first {
+					if !panics(func() { mems[k].WriteWords(a, n, fill) }) {
+						t.Fatalf("memory %d: WriteWords(%#x, %d) past the address space did not panic", k, a, n)
+					}
+					break
+				}
+				mems[k].WriteWords(a, n, fill)
+				for i := 0; i < n; i += stride {
+					models[k].words[first+int64(i)] = v + int64(i)
+				}
+				for i := 0; i < n; i += pageWords {
+					models[k].pages[(first+int64(i))>>(PageShift-3)] = true
+				}
+				if n > 0 {
+					models[k].pages[(first+int64(n)-1)>>(PageShift-3)] = true
+				}
 			}
 		}
 		empty := newMemModel()
@@ -160,6 +203,41 @@ func FuzzMemory(f *testing.F) {
 			}
 		}
 	})
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestWriteWordsRejectsRangesPastTheEnd: a range may reach the highest
+// word but not wrap past it, and its length may not be negative; a
+// refused range calls nothing and leaves the memory as it was. Ranges far
+// from the dense table and below zero are accepted (FuzzMemory checks
+// them against its model).
+func TestWriteWordsRejectsRangesPastTheEnd(t *testing.T) {
+	top := int64(math.MaxInt64 &^ 7) // the highest word's address
+	m := NewMemory()
+	m.Store(top, 1)
+	for _, c := range []struct {
+		addr int64
+		n    int
+	}{{top, 2}, {top - 8, 3}, {math.MinInt64, math.MaxInt}, {0, -1}} {
+		if !panics(func() { m.WriteWords(c.addr, c.n, func([]int64) { t.Fatal("refused range ran f") }) }) {
+			t.Errorf("WriteWords(%#x, %d) did not panic", c.addr, c.n)
+		}
+	}
+	if m.Footprint() != 1 || m.Load(top) != 1 {
+		t.Fatalf("a refused range changed the memory: footprint %d, top word %d", m.Footprint(), m.Load(top))
+	}
+	m.WriteWords(top-8, 2, func(ws []int64) { ws[0], ws[1] = 2, ws[1]+2 })
+	m.WriteWords(math.MinInt64, 1, func(ws []int64) { ws[0] = 4 })
+	if m.Load(top-8) != 2 || m.Load(top) != 3 || m.Load(math.MinInt64) != 4 || m.Footprint() != 2 {
+		t.Fatalf("ranges at the ends of the address space: words %d %d %d, footprint %d",
+			m.Load(top-8), m.Load(top), m.Load(math.MinInt64), m.Footprint())
+	}
 }
 
 // TestCloneCOWOfFrozenMemory: window jobs restore one checkpoint at once

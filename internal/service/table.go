@@ -554,7 +554,11 @@ func (t *Table) RequeueLocked(job *Job, cause, errMsg string) {
 		job.state, job.err = JobQueued, errMsg
 		t.counters.Add(cause, 1)
 		t.journaled(job.ID, t.journal.Requeue(job.ID, job.attempts, cause))
-		t.logf("acbd: %s requeued (%s) after attempt %d/%d: %s", job.ID, cause, job.attempts, t.p.MaxAttempts, errMsg)
+		detail := ""
+		if errMsg != "" {
+			detail = ": " + errMsg
+		}
+		t.logf("acbd: %s requeued (%s) after attempt %d/%d%s", job.ID, cause, job.attempts, t.p.MaxAttempts, detail)
 		if t.p.Backoff != nil {
 			job.waiting = true
 			go t.backoff(job, t.p.Backoff(job.attempts))

@@ -181,6 +181,10 @@ func (sp *Spec) build(train bool) ([]isa.Instruction, *isa.Memory) {
 	b.MovI(isa.R7, 0)
 	b.MovI(isa.R3, chaseTableBase)
 
+	// Every table is written whole through isa.Memory.WriteWords. The rng
+	// draws and their order decide every image word (TestBuildGolden pins
+	// them), so a faster loop must keep them.
+
 	// Condition tables: one word per hammock per period slot, bit 0 = the
 	// outcome. Pattern-based with noise so predictability is tunable.
 	for h := range s.Hammocks {
@@ -190,49 +194,61 @@ func (sp *Spec) build(train bool) ([]isa.Instruction, *isa.Memory) {
 		if train && hm.TrainDiffers {
 			noise = hm.TrainNoise
 		}
-		for i := int64(0); i < s.Period; i++ {
-			patternBit := (i >> uint(h%3)) & 1 // short repeating pattern
-			bit := patternBit
-			if r.float() < noise {
-				if r.float() < hm.TakenBias {
-					bit = 1
-				} else {
-					bit = 0
+		m.WriteWords(base, int(s.Period), func(words []int64) {
+			for i := range words {
+				bit := int64(i) >> uint(h%3) & 1 // short repeating pattern
+				if r.float() < noise {
+					if r.float() < hm.TakenBias {
+						bit = 1
+					} else {
+						bit = 0
+					}
 				}
+				filler := int64(r.next() & 0xFFFF)
+				words[i] = bit | filler<<1
 			}
-			filler := int64(r.next() & 0xFFFF)
-			m.Store(base+i*8, bit|filler<<1)
-		}
+		})
 	}
 
-	// Pointer-chase table: a random cycle over ChaseSpan bytes.
+	// Pointer-chase table: a random cycle over ChaseSpan bytes. Slot
+	// perm[i] points at slot perm[i+1], and the last back at the first.
 	if s.ChaseDepth > 0 {
 		span := s.ChaseSpan
 		if span == 0 {
 			span = 1 << 20
 		}
-		perm := make([]int32, span/8)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		for i := len(perm) - 1; i > 0; i-- {
-			j := r.next() % uint64(i+1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		// Slot perm[i] points at slot perm[i+1], and the last back at the
-		// first: walking a running predecessor spares a division per slot.
-		prev := perm[0]
-		for _, cur := range perm[1:] {
-			m.Store(chaseTableBase+int64(prev)*8, chaseTableBase+int64(cur)*8)
-			prev = cur
-		}
-		m.Store(chaseTableBase+int64(prev)*8, chaseTableBase+int64(perm[0])*8)
+		link := func(to int32) int64 { return chaseTableBase + int64(to)*8 }
+		m.WriteWords(chaseTableBase, int(span/8), func(slots []int64) {
+			// The permutation is allocated after the table: the other way
+			// round, its freed space could not hold a later 16 MiB table,
+			// which fragmented the heap and raised peak RSS.
+			perm := make([]int32, len(slots))
+			for i := range perm {
+				perm[i] = int32(i)
+			}
+			// Fisher-Yates from the top settles perm[i] at step i, so each
+			// step links its slot to the one the step before settled.
+			last := len(perm) - 1
+			var succ int32
+			for i := last; i > 0; i-- {
+				j := r.next() % uint64(i+1)
+				perm[i], perm[j] = perm[j], perm[i]
+				if i < last {
+					slots[perm[i]] = link(succ)
+				}
+				succ = perm[i]
+			}
+			slots[perm[0]] = link(succ)
+			slots[perm[last]] = link(perm[0])
+		})
 	}
 
 	// Data table for FeedsLoad hammocks.
-	for i := int64(0); i < 4096; i++ {
-		m.Store(dataTableBase+i*8, int64(r.next()&0xFFFF))
-	}
+	m.WriteWords(dataTableBase, 4096, func(words []int64) {
+		for i := range words {
+			words[i] = int64(r.next() & 0xFFFF)
+		}
+	})
 
 	b.Label("loop")
 

@@ -64,3 +64,32 @@ func TestByName(t *testing.T) {
 		t.Error("expected error for unknown workload")
 	}
 }
+
+var sinkImage *isa.Memory
+
+// BenchmarkBuild prices Workload.Build: one sub-benchmark per workload
+// with a pointer-chase table (1-16 MiB of chase slots, the suite's
+// largest images) and one that builds the whole suite.
+func BenchmarkBuild(b *testing.B) {
+	all := workload.All()
+	for i := range all {
+		w := &all[i]
+		if w.Spec.ChaseDepth == 0 {
+			continue
+		}
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, sinkImage = w.Build()
+			}
+		})
+	}
+	b.Run("suite", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range all {
+				_, sinkImage = all[j].Build()
+			}
+		}
+	})
+}
