@@ -332,9 +332,10 @@ func MispredictCensus(opts Options) *stats.Table {
 
 		// Classify misprediction sources via the static CFG, using the
 		// DMP criterion: convergent iff *both* paths re-join within the
-		// learning window (N = 40). The program is the simulation's,
-		// built here if the simulation was a memo hit.
-		p, _ := img.build(opts.Stats)
+		// learning window (N = 40). The program is the simulation's, or,
+		// if the simulation was a memo hit, built alone: img is this
+		// job's own, and its simulation has returned.
+		p := img.program()
 		bounded := map[int]bool{}
 		for _, hm := range prog.AnalyzeHammocks(p, 40) {
 			bounded[hm.BranchPC] = true

@@ -297,6 +297,17 @@ func (im *image) build(stats *RunnerStats) ([]isa.Instruction, *isa.Memory) {
 	return im.prog, im.mem
 }
 
+// program returns the image's program without building its memory: the
+// built program if a simulation built the image, else the workload's
+// program alone (workload.Workload.Program), which is not counted as a
+// build. It must not run beside a build of im.
+func (im *image) program() []isa.Instruction {
+	if im.prog != nil {
+		return im.prog
+	}
+	return im.w.Program()
+}
+
 // simulate is the one run path: every simulation of every experiment
 // runs a workload on engine e here, through the Options' memo, so a
 // simulation already run (or running) under the same key is not run

@@ -3,10 +3,10 @@
 // partitioned into fast-forward / warm-up / measure intervals. The
 // fast-forward phase executes on the trusted internal/isa functional
 // emulator (the difftest oracle), which checkpoints architectural state at
-// each window start, while a second goroutine functionally warms the
-// branch predictor with every resolved branch outcome and continuously
-// warms a cache hierarchy with every load/store address (each window
-// receives clones of the warmed predictor and tag state). Each window is
+// each window start, while two more goroutines functionally warm the
+// branch predictor with every resolved branch outcome and, continuously,
+// a cache hierarchy with every load/store address (each window receives
+// clones of the warmed predictor and tag state). Each window is
 // an independent job — a detailed core restored from its checkpoint
 // (ooo.NewFromCheckpoint), a detailed-but-unmeasured warm-up to hide the
 // remaining cold start, and a measured span — so windows fan out over the
@@ -233,14 +233,15 @@ type window struct {
 	start   int64
 	warmup  int64
 	measure int64 // clipped at the run's end for the last window reached
-	// ready is closed when the fields below are final: by the warm stage
-	// once the emulate stage has passed the window's end, or, for the last
-	// window reached and every window the run never reaches, when the
-	// fast-forward ends.
+	// ready is closed when the fields below are final: by the cache
+	// warmer once the emulate stage has passed the window's end, or, for
+	// the last window reached and every window the run never reaches, when
+	// the fast-forward ends.
 	ready chan struct{}
-	ckpt  *isa.Checkpoint
-	// pred and hier are the warmed clones; pred is nil for a window that
-	// is dropped or never reached, which its job skips.
+	ckpt  *isa.Checkpoint // written by the emulate stage
+	// pred and hier are the warmed clones, written by the predictor and
+	// the cache warmer; pred is nil for a window that is dropped or never
+	// reached, which its job skips.
 	pred bpu.Predictor
 	hier *mem.Hierarchy
 }
@@ -333,96 +334,143 @@ func Run(prog []isa.Instruction, image *isa.Memory, plan Plan, opts Options) (*E
 const (
 	// batchEvents is the number of events per hand-off: a few thousand
 	// emulated instructions, so each stage works for tens of microseconds
-	// between hand-offs and waking the other goroutine is a small part of
+	// between hand-offs and waking the next goroutine is a small part of
 	// that. 256-event batches gave back about half of the two-stage gain;
 	// 4096 were no faster.
 	batchEvents = 1024
-	// ringBatches is the number of batches in circulation: one being
-	// filled, the rest queued for or in the warm stage. The slack lets
-	// either stage run on through a stall of the other, such as the
-	// clones at a window marker. With 2 the stages ran in lock-step and
-	// lost nearly all the gain; 8 or 16 were no faster on two CPUs, and 8
-	// batches of 4096 read a few percent slower on one CPU, where the
-	// stages take turns and share its caches.
-	ringBatches = 4
+	// ringBatches is the number of batches in circulation (16 KiB each):
+	// one being filled, the rest queued for or in the warmers. The slack
+	// lets each stage run on through a stall of another, such as the
+	// clones at a window marker or a window job holding a CPU, and
+	// through stretches where one stage is the slower. With 2 the stages
+	// ran in lock-step. With three stages on two CPUs depth pays: on
+	// sampled-long's mix the CPUs were busy 1.80 of 2 inside sample.Run
+	// with 4 batches, 1.84 with 8, 1.90 with 16 and 1.93 with 32.
+	ringBatches = 32
 )
 
-// batch is one hand-off from the emulate stage to the warm stage: events
-// in program order, then, if mark is set, the marker of the next window,
-// at which the warm stage clones its state into that window, or, if ready
-// is set, the end of the last window marked, which it makes ready.
+// batch is one hand-off down the fast-forward's pipeline: events in
+// program order, then, if mark is set, the marker of the next window, at
+// which each warmer clones its state into that window, or, if ready is
+// set, the end of the last window marked, which the cache warmer makes
+// ready.
 type batch struct {
 	events      []isa.Event
 	mark, ready bool
 }
 
-// warmStage is the fast-forward's second stage: one goroutine that owns
-// the warming predictor and cache hierarchy, applies the emulate stage's
-// batches in order, and clones both into each window at its marker.
-// Batches circulate between the stages through full and free, which each
-// hold every batch at once, so neither stage ever blocks on a send.
+// warmStage is the fast-forward's warming: two goroutines chained behind
+// the emulate stage, which own disjoint state. The predictor warmer
+// applies each batch's branch outcomes to the warming predictor, clones
+// it into the window at a marker and passes the batch on to the cache
+// warmer. The cache warmer applies the batch's loads and stores to the
+// warming cache hierarchy, clones it into the window at a marker, makes
+// the window ready at a ready flag and returns the batch to the emulate
+// stage. Both see every batch, in order, so each window gets the state
+// one serial pass would give it. Batches circulate through full, warmed
+// and free, each of which holds every batch at once, so no stage ever
+// blocks on a send.
 type warmStage struct {
-	full, free chan *batch
-	done       chan struct{} // closed when the goroutine exits
-	// Read after done.
-	marks    int // markers applied: windows 0..marks-1 have their clones
-	readied  int // windows 0..readied-1 are ready
-	panicked any // the warm goroutine's panic
+	full, free  chan *batch
+	pred, cache warmer
+	readied     int // windows 0..readied-1 are ready; read after cache.done
 }
 
-// startWarm starts the warm stage, which owns pred (a bpu.Cloner) and hier
-// until join returns. At marker k it fills wins[k], and at the ready flag
-// that follows it makes wins[k] ready: the emulate stage has passed the
-// window's end, so it can be neither clipped nor dropped.
-func startWarm(pred bpu.Predictor, hier *mem.Hierarchy, wins []window) *warmStage {
+// warmer is one warming goroutine.
+type warmer struct {
+	done chan struct{} // closed when the goroutine exits
+	// Read after done.
+	marks    int // windows 0..marks-1 have this warmer's clone
+	panicked any
+}
+
+// startWarm starts the two warmers, which own pred (a bpu.Cloner) and
+// hier until join returns, and skip every batch once ctx is done. At marker k each fills its part of wins[k],
+// and at the ready flag that follows the cache warmer makes wins[k]
+// ready: the emulate stage has passed the window's end, so it can be
+// neither clipped nor dropped, and the predictor warmer has passed its
+// marker.
+func startWarm(ctx context.Context, pred bpu.Predictor, hier *mem.Hierarchy, wins []window) *warmStage {
 	w := &warmStage{
-		full: make(chan *batch, ringBatches),
-		free: make(chan *batch, ringBatches),
-		done: make(chan struct{}),
+		full:  make(chan *batch, ringBatches),
+		free:  make(chan *batch, ringBatches),
+		pred:  warmer{done: make(chan struct{})},
+		cache: warmer{done: make(chan struct{})},
 	}
 	for i := 0; i < ringBatches; i++ {
 		w.free <- &batch{events: make([]isa.Event, 0, batchEvents)}
 	}
+	warmed := make(chan *batch, ringBatches)
 	go func() {
-		defer func() {
-			w.panicked = recover()
-			close(w.done)
-		}()
-		for b := range w.full {
-			warmEvents(pred, hier, b.events)
+		// However the predictor warmer ends, the cache warmer then drains
+		// what it was passed and exits.
+		defer close(warmed)
+		w.pred.run(ctx, w.full, warmed, func(b *batch, k int) {
+			warmBranches(pred, b.events)
 			if b.mark {
-				wins[w.marks].pred = pred.(bpu.Cloner).Clone()
-				wins[w.marks].hier = hier.Clone()
-				w.marks++
+				wins[k].pred = pred.(bpu.Cloner).Clone()
 			}
-			if b.ready {
-				close(wins[w.readied].ready)
-				w.readied++
-			}
-			// Yield after every batch, so that a window job queued on
-			// this goroutine's processor runs now: the one just made
-			// ready, or one the runtime queued behind this goroutine
-			// (after a GC assist, say). The two stages ready each other
-			// ahead of a job, and the warm stage, the longer one, rarely
-			// blocks, so the job would otherwise wait up to a scheduler
-			// time slice (10 ms) while windows pile up (5-8 of 20 alive
-			// at once on one CPU in TestFewWindowsAlive with no yield).
-			runtime.Gosched()
-			b.events, b.mark, b.ready = b.events[:0], false, false
-			w.free <- b
-		}
+		})
 	}()
+	go w.cache.run(ctx, warmed, w.free, func(b *batch, k int) {
+		warmAccesses(hier, b.events)
+		if b.mark {
+			wins[k].hier = hier.Clone()
+		}
+		if b.ready {
+			close(wins[w.readied].ready)
+			w.readied++
+		}
+	})
 	return w
 }
 
-// warmEvents applies the emulate stage's events to pred and hier in
-// program order: branch outcomes train the predictor, loads and stores
-// touch the caches.
-func warmEvents(pred bpu.Predictor, hier *mem.Hierarchy, events []isa.Event) {
+// run is a warmer's loop: it applies each batch from in, handing apply
+// the index of the window a marker in the batch is for, and passes the
+// batch on to out, until in is closed or apply panics. Once ctx is done
+// it skips the rest, which would otherwise cost up to ringBatches batches
+// of warming in a cancelled run: each warmer applies a prefix of the
+// batches, and the cache warmer's is never longer than the predictor
+// warmer's.
+func (w *warmer) run(ctx context.Context, in <-chan *batch, out chan<- *batch, apply func(b *batch, k int)) {
+	defer close(w.done)
+	defer func() { w.panicked = recover() }()
+	for b := range in {
+		if ctx.Err() != nil {
+			continue
+		}
+		apply(b, w.marks)
+		if b.mark {
+			w.marks++
+		}
+		// Yield after every batch, so that a window job queued on this
+		// goroutine's processor runs now: the one just made ready, or one
+		// the runtime queued behind this goroutine (after a GC assist,
+		// say). The stages ready each other ahead of a job and rarely
+		// block, so the job would otherwise wait up to a scheduler time
+		// slice (10 ms) while windows pile up (5-8 of 20 alive at once on
+		// one CPU in TestFewWindowsAlive with no yield).
+		runtime.Gosched()
+		out <- b
+	}
+}
+
+// warmBranches trains pred with the events' branch outcomes, in program
+// order.
+func warmBranches(pred bpu.Predictor, events []isa.Event) {
+	for _, e := range events {
+		if e.Op == isa.Br {
+			bpu.Warm(pred, uint64(e.Addr), e.Taken)
+		}
+	}
+}
+
+// warmAccesses drives the events' loads and stores through hier, in
+// program order.
+func warmAccesses(hier *mem.Hierarchy, events []isa.Event) {
 	for _, e := range events {
 		switch e.Op {
 		case isa.Br:
-			bpu.Warm(pred, uint64(e.Addr), e.Taken)
 		case isa.Load:
 			hier.LoadLatency(e.Addr)
 		default:
@@ -431,9 +479,10 @@ func warmEvents(pred bpu.Predictor, hier *mem.Hierarchy, events []isa.Event) {
 	}
 }
 
-// handOff queues b (if non-nil) for the warm stage and returns an empty
-// batch, or an error if ctx is done or the warm stage has died (join
-// re-raises its panic).
+// handOff queues b (if non-nil) for the warmers and returns an empty
+// batch, or an error if ctx is done or a warmer has died (join re-raises
+// its panic). The cache warmer, the last stage, exits whenever the
+// predictor warmer does.
 func (w *warmStage) handOff(ctx context.Context, b *batch) (*batch, error) {
 	if b != nil {
 		w.full <- b
@@ -443,35 +492,42 @@ func (w *warmStage) handOff(ctx context.Context, b *batch) (*batch, error) {
 	}
 	select {
 	case b := <-w.free:
+		b.events, b.mark, b.ready = b.events[:0], false, false
 		return b, nil
-	case <-w.done:
+	case <-w.cache.done:
 		return nil, errors.New("sample: warm stage stopped")
+	case <-ctx.Done(): // the warmers return no batch once ctx is done
+		return nil, ctx.Err()
 	}
 }
 
-// join ends the event stream and waits for the warm stage to exit. A
-// warm-stage panic is re-raised on the caller's goroutine.
+// join ends the event stream and waits for both warmers to exit. A
+// warmer's panic is re-raised on the caller's goroutine, the predictor
+// warmer's first.
 func (w *warmStage) join() {
 	close(w.full)
-	<-w.done
-	if w.panicked != nil {
-		panic(w.panicked)
+	<-w.pred.done
+	<-w.cache.done
+	for _, p := range [...]any{w.pred.panicked, w.cache.panicked} {
+		if p != nil {
+			panic(p)
+		}
 	}
 }
 
 // fastForward is phase 1, the functional fast-forward, running on its own
 // goroutines beside the window jobs: the emulate stage (emulate) and the
-// warm stage (startWarm).
+// two warmers (startWarm).
 type fastForward struct {
 	wins   []window
 	cancel context.CancelFunc
-	done   chan struct{} // closed once both stages have exited and every window is ready
+	done   chan struct{} // closed once every stage has exited and every window is ready
 	// Read after done.
 	kept     int   // windows 0..kept-1 have state; the rest never run
 	pos      int64 // the run's functional extent
 	halted   bool
 	err      error
-	panicked any // either stage's panic
+	panicked any // any stage's panic
 }
 
 // startFastForward starts the fast-forward over the plan's windows. Its
@@ -481,43 +537,54 @@ func startFastForward(prog []isa.Instruction, image *isa.Memory, plan Plan, opts
 	ctx, cancel := context.WithCancel(opts.Context)
 	f := &fastForward{wins: planWindows(plan, opts.Budget), cancel: cancel, done: make(chan struct{})}
 	arch := isa.NewArchState(image.CloneCOW())
-	warm := startWarm(pred, mem.NewHierarchy(opts.Config.Mem), f.wins)
+	warm := startWarm(ctx, pred, mem.NewHierarchy(opts.Config.Mem), f.wins)
 	go func() {
 		defer close(f.done)
 		defer f.release(warm)
 		defer func() { f.panicked = recover() }()
-		defer warm.join()
+		defer func() {
+			warm.join()
+			// A cancel after the emulate stage's last check may still have
+			// made the warmers skip windows.
+			if f.err == nil && ctx.Err() != nil {
+				f.err = fmt.Errorf("sample: fast-forward stopped at its end: %w", ctx.Err())
+			}
+		}()
 		f.pos, f.halted, f.err = emulate(ctx, prog, arch, f.wins, opts.Budget, warm)
 	}()
 	return f
 }
 
-// release runs once both stages have exited and makes every window not
-// yet ready ready. The last window the warm stage filled, unless it is
+// release runs once every stage has exited and makes every window not
+// yet ready ready. The last window the cache warmer filled, unless it is
 // ready already, runs only if the fast-forward finished and the window
 // has a measured span before the run's end, where it is clipped; the rest
-// never run.
+// never run, and drop what state they have (a lone predictor clone,
+// after a cache-warmer panic or a cancel).
 func (f *fastForward) release(warm *warmStage) {
-	marks := warm.marks
+	marks := warm.cache.marks
 	f.kept = marks
 	if marks > warm.readied {
 		w := &f.wins[marks-1]
 		switch {
 		case f.err != nil || f.panicked != nil || w.start+w.warmup >= f.pos:
-			w.ckpt, w.pred, w.hier = nil, nil, nil
 			f.kept--
 		case w.start+w.warmup+w.measure > f.pos:
 			w.measure = f.pos - w.start - w.warmup
 		}
 	}
 	for i := warm.readied; i < len(f.wins); i++ {
-		close(f.wins[i].ready)
+		w := &f.wins[i]
+		if i >= f.kept {
+			w.ckpt, w.pred, w.hier = nil, nil, nil
+		}
+		close(w.ready)
 	}
 }
 
 // join waits for the fast-forward to end and returns how many windows
 // have state, the run's functional extent and whether it halted. A panic
-// in either stage is re-raised here, on the caller's goroutine, so a
+// in any stage is re-raised here, on the caller's goroutine, so a
 // recovering caller (experiments.Run) reports it as a job error.
 func (f *fastForward) join() (kept int, pos int64, halted bool, err error) {
 	<-f.done
@@ -535,14 +602,14 @@ func (f *fastForward) stop() {
 
 // emulate is the fast-forward's first stage: one functional pass over the
 // run. It steps arch, writes every conditional-branch outcome and
-// load/store address into batches for the warm stage, and at each window
+// load/store address into batches for the warmers, and at each window
 // start takes the architectural checkpoint and ends the batch with the
 // window's marker. At the end of every window but the last, unless the
-// run ends first, it ends the batch again, so that the warm stage makes
-// the window ready; no later window starts before it. The warm stage applies the same events in the same
-// order a serial pass would, so every window receives the same predictor
-// and cache state. emulate returns the run's functional extent and whether
-// it halted.
+// run ends first, it ends the batch again, so that the cache warmer makes
+// the window ready; no later window starts before it. Each warmer applies
+// its events in the order a serial pass would, so every window receives
+// the same predictor and cache state. emulate returns the run's
+// functional extent and whether it halted.
 func emulate(ctx context.Context, prog []isa.Instruction, arch *isa.ArchState, wins []window, budget int64,
 	warm *warmStage) (pos int64, halted bool, err error) {
 	stopped := func(err error) error {

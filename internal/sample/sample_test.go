@@ -3,10 +3,12 @@ package sample
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"acb/internal/bpu"
 	"acb/internal/config"
@@ -227,6 +229,17 @@ func (w *peakWindows) options(opts Options) Options {
 	return opts
 }
 
+// waitGoroutines fails t unless the number of goroutines falls back to n
+// within a few seconds: every goroutine a run started has exited.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines are left, %d before the run", runtime.NumGoroutine(), n)
+		}
+	}
+}
+
 func TestFastForwardCancellation(t *testing.T) {
 	prog, image := buildWorkload(t, "soplex")
 	const budget = 1_000_000
@@ -246,8 +259,10 @@ func TestFastForwardCancellation(t *testing.T) {
 			cancel()
 		}
 	}}
+	n := runtime.NumGoroutine()
 	_, err := Run(prog, image, plan, Options{Budget: budget, Context: ctx,
 		NewPredictor: func() bpu.Predictor { return p }})
+	waitGoroutines(t, n)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want an error wrapping context.Canceled", err)
 	}
@@ -266,10 +281,12 @@ func TestWarmStagePanicIsReraised(t *testing.T) {
 			panic(boom)
 		}
 	}}
+	n := runtime.NumGoroutine()
 	defer func() {
 		if r := recover(); r != boom {
 			t.Fatalf("Run's goroutine recovered %v, want the warm stage's panic %v", r, boom)
 		}
+		waitGoroutines(t, n)
 	}()
 	_, _ = Run(prog, image, DefaultPlan(), Options{Budget: 300_000,
 		NewPredictor: func() bpu.Predictor { return p }})
@@ -282,11 +299,13 @@ func TestEmulateStagePanicIsReraised(t *testing.T) {
 	// have started.
 	prog, image := buildHaltingLoop(8_000)
 	prog = prog[:len(prog)-1]
+	n := runtime.NumGoroutine()
 	defer func() {
 		r := recover()
 		if msg, ok := r.(string); !ok || !strings.Contains(msg, "out of range") {
 			t.Fatalf("Run's goroutine recovered %v, want the emulator's PC-out-of-range panic", r)
 		}
+		waitGoroutines(t, n)
 	}()
 	_, _ = Run(prog, image, Plan{Interval: 10_000, Warmup: 500, Measure: 2_000}, Options{Budget: 100_000})
 	t.Fatalf("Run returned normally after an emulate-stage panic")

@@ -151,9 +151,15 @@ func (s *Spec) BuildTrain() ([]isa.Instruction, *isa.Memory) {
 }
 
 func (sp *Spec) build(train bool) ([]isa.Instruction, *isa.Memory) {
-	// Work on a copy: Build must not write defaults back into the shared
-	// Spec, since the parallel experiment runner builds the same workload
-	// from several goroutines at once.
+	s := sp.withDefaults()
+	return s.program(), s.image(train)
+}
+
+// withDefaults returns a copy of the spec with its defaults filled in. A
+// build must not write them back into the shared Spec, since the parallel
+// experiment runner builds the same workload from several goroutines at
+// once.
+func (sp *Spec) withDefaults() Spec {
 	s := *sp
 	if s.Period == 0 {
 		s.Period = 4096
@@ -161,25 +167,18 @@ func (sp *Spec) build(train bool) ([]isa.Instruction, *isa.Memory) {
 	if s.Iters == 0 {
 		s.Iters = 100_000
 	}
+	return s
+}
+
+// image builds the memory image: the condition, chase and data tables,
+// drawn from the input's seed.
+func (s *Spec) image(train bool) *isa.Memory {
 	seed := s.Seed
 	if train {
 		seed ^= 0x5DEECE66D
 	}
 	r := newRNG(seed)
 	m := isa.NewMemory()
-	b := prog.NewBuilder()
-
-	// Register conventions:
-	//   r0  loop counter          r1  iteration limit
-	//   r2  condition value       r3  chase cursor
-	//   r4-r6 scratch             r7  accumulator
-	//   r8  loop-compare scratch  r9  table index scratch
-	//   r10-r13 hammock scratch   r14 inner-loop counter
-	//   r15 data value
-	b.MovI(isa.R0, 0)
-	b.MovI(isa.R1, s.Iters)
-	b.MovI(isa.R7, 0)
-	b.MovI(isa.R3, chaseTableBase)
 
 	// Every table is written whole through isa.Memory.WriteWords. The rng
 	// draws and their order decide every image word (TestBuildGolden pins
@@ -249,6 +248,25 @@ func (sp *Spec) build(train bool) ([]isa.Instruction, *isa.Memory) {
 			words[i] = int64(r.next() & 0xFFFF)
 		}
 	})
+	return m
+}
+
+// program emits the workload's code. It draws nothing from the rng, so
+// the program is the same for every input.
+func (s *Spec) program() []isa.Instruction {
+	b := prog.NewBuilder()
+
+	// Register conventions:
+	//   r0  loop counter          r1  iteration limit
+	//   r2  condition value       r3  chase cursor
+	//   r4-r6 scratch             r7  accumulator
+	//   r8  loop-compare scratch  r9  table index scratch
+	//   r10-r13 hammock scratch   r14 inner-loop counter
+	//   r15 data value
+	b.MovI(isa.R0, 0)
+	b.MovI(isa.R1, s.Iters)
+	b.MovI(isa.R7, 0)
+	b.MovI(isa.R3, chaseTableBase)
 
 	b.Label("loop")
 
@@ -282,7 +300,7 @@ func (sp *Spec) build(train bool) ([]isa.Instruction, *isa.Memory) {
 	b.Sub(isa.R8, isa.R0, isa.R1)
 	b.Brnz(isa.R8, "loop")
 	b.Halt()
-	return b.MustBuild(), m
+	return b.MustBuild()
 }
 
 // emitHammock emits one hammock: load its condition, branch, bodies per

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"acb/internal/isa"
@@ -62,6 +63,22 @@ func TestTrainVariantSameCodeDifferentData(t *testing.T) {
 	}
 	if diff < 64 {
 		t.Fatalf("only %d/512 condition bits differ between inputs", diff)
+	}
+}
+
+// TestProgramMatchesBuild: Program, which builds no memory image for a
+// synthetic workload, returns Build's program for every suite workload
+// and for an adversarial entry, which has its own build.
+func TestProgramMatchesBuild(t *testing.T) {
+	advs, err := Adversarial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range append(All(), advs[0]) {
+		p, _ := w.Build()
+		if !reflect.DeepEqual(w.Program(), p) {
+			t.Errorf("%s: Program differs from Build's program", w.Name)
+		}
 	}
 }
 

@@ -45,6 +45,19 @@ func (w *Workload) Build() ([]isa.Instruction, *isa.Memory) {
 	return w.Spec.Build()
 }
 
+// Program generates the workload's program, the one Build returns. A
+// synthetic workload's code does not depend on its input, so it builds no
+// memory image for it; a workload with its own build (a trace or an
+// adversarial entry) builds its image and drops it.
+func (w *Workload) Program() []isa.Instruction {
+	if w.build != nil {
+		p, _ := w.build(false)
+		return p
+	}
+	s := w.Spec.withDefaults()
+	return s.program()
+}
+
 // BuildTrain generates the profiling-input variant of the workload (used
 // by the DMP baseline's compiler pass; see Spec.BuildTrain).
 func (w *Workload) BuildTrain() ([]isa.Instruction, *isa.Memory) {
