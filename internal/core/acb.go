@@ -139,6 +139,19 @@ func (a *ACB) CriticalTable() *CriticalTable { return a.critical }
 // Dynamo exposes the monitor for tests and reports.
 func (a *ACB) Dynamo() *Dynamo { return a.dynamo }
 
+// Dormant returns the retired-instruction count before which a fresh ACB
+// cannot predicate: Dynamo's EpochLen, or 0 without Dynamo. Dynamo opens
+// every run with a disable epoch, in which only GOOD entries apply, and
+// no entry is GOOD before the first epoch pair is judged. Until then ACB
+// only observes, so the core runs exactly as the baseline does
+// (ooo.Core.Fork).
+func (a *ACB) Dormant() int64 {
+	if !a.cfg.UseDynamo {
+		return 0
+	}
+	return a.cfg.Dynamo.EpochLen
+}
+
 // SetTrace attaches an event ring (normally the core's, via
 // ooo.Core.EnableTrace) so gate decisions appear on the same timeline as
 // the pipeline's dual-fetch and flush events.

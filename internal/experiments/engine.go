@@ -86,10 +86,16 @@ func (e Engine) Constructors(w *workload.Workload) (func() bpu.Predictor, func()
 	return e.constructors(func() []dmp.Candidate { return profile(w) })
 }
 
-func (e Engine) constructors(candidates func() []dmp.Candidate) (func() bpu.Predictor, func() ooo.Scheme, error) {
+// named returns e with its predictor named: "" is TAGE.
+func (e Engine) named() Engine {
 	if e.Predictor == "" {
 		e.Predictor = "tage"
 	}
+	return e
+}
+
+func (e Engine) constructors(candidates func() []dmp.Candidate) (func() bpu.Predictor, func() ooo.Scheme, error) {
+	e = e.named()
 	if _, err := bpu.New(e.Predictor); err != nil {
 		return nil, nil, err
 	}

@@ -37,6 +37,14 @@ type call[V any] struct {
 	waiters int  // callers that found it rather than compute it; for tests, guarded by flight.mu
 }
 
+// has reports whether key's value is computed or being computed.
+func (f *flight[K, V]) has(key K) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.calls[key]
+	return ok
+}
+
 func (f *flight[K, V]) do(key K, fn func() V) V {
 	f.mu.Lock()
 	c, found := f.calls[key]

@@ -79,7 +79,8 @@ func TestRunCancelledContext(t *testing.T) {
 
 // TestRunCountsCyclesAndCPI: every experiment's simulations report their
 // cycles and CPI stacks — the sensitivity and multirecon sweeps' too —
-// and sens-n runs each baseline once for all six window sizes.
+// and sens-n runs each baseline once for all six window sizes. A shared
+// dormant prefix is simulated once but covered by both runs' stacks.
 func TestRunCountsCyclesAndCPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -109,8 +110,9 @@ func TestRunCountsCyclesAndCPI(t *testing.T) {
 			for _, tot := range opts.CPIStats.Snapshot() {
 				cpiCycles += tot.Cycles
 			}
-			if cpiCycles != opts.Stats.Cycles() {
-				t.Errorf("CPI stacks cover %d cycles, the runs simulated %d", cpiCycles, opts.Stats.Cycles())
+			if shared := opts.Stats.prefixCycles.Load(); cpiCycles != opts.Stats.Cycles()+shared {
+				t.Errorf("CPI stacks cover %d cycles, the runs simulated %d and shared %d",
+					cpiCycles, opts.Stats.Cycles(), shared)
 			}
 		})
 	}

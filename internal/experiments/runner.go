@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"acb/internal/config"
+	"acb/internal/core"
 	"acb/internal/dmp"
 	"acb/internal/isa"
 	"acb/internal/ooo"
@@ -114,13 +115,19 @@ func (o *Options) fill() {
 
 // RunnerStats accumulates runner totals: simulations run (a memo hit is
 // not one), workload images built and the time spent building them (a
-// DMP profile's training image is part of its profile), pool wall-clock
-// time, the cumulative single-threaded simulation time (each run's whole
-// computation: DMP profile, image build if it builds one, and run; its
-// ratio to wall time is the effective parallel speedup; sampled-fig6's
-// sampled runs count in it), and total simulated cycles — the numerator
-// of the harness's own cycles-per-second throughput metric.
-type RunnerStats struct{ sims, builds, build, wall, sim, cycles atomic.Int64 }
+// DMP profile's training image is part of its profile), dormant prefixes
+// shared by a baseline and an ACB simulation (see prefix) and their
+// cycles, pool wall-clock time, the cumulative single-threaded simulation
+// time (each run's whole computation: DMP profile, image build if it
+// builds one, and run, with a shared prefix counted once; its ratio to
+// wall time is the effective parallel speedup; sampled-fig6's sampled
+// runs count in it), and total simulated cycles, a shared prefix's once —
+// the numerator of the harness's own cycles-per-second throughput metric.
+// Both runs' CPI stacks cover a shared prefix, so they sum to the
+// simulated cycles plus the shared prefixes' cycles.
+type RunnerStats struct {
+	sims, builds, build, prefixes, prefixCycles, wall, sim, cycles atomic.Int64
+}
 
 // Simulations returns the number of simulations run.
 func (s *RunnerStats) Simulations() int64 { return s.sims.Load() }
@@ -130,6 +137,9 @@ func (s *RunnerStats) Builds() int64 { return s.builds.Load() }
 
 // BuildTime returns the cumulative time spent building workload images.
 func (s *RunnerStats) BuildTime() time.Duration { return time.Duration(s.build.Load()) }
+
+// Prefixes returns the number of dormant prefixes two simulations shared.
+func (s *RunnerStats) Prefixes() int64 { return s.prefixes.Load() }
 
 // Cycles returns the total simulated cycles.
 func (s *RunnerStats) Cycles() int64 { return s.cycles.Load() }
@@ -156,8 +166,8 @@ func (s *RunnerStats) String() string {
 	if x, ok := s.Speedup(); ok {
 		sp = fmt.Sprintf("%.2fx", x)
 	}
-	return fmt.Sprintf("%d simulations, %d builds (%s), wall %s, sim %s, effective speedup %s",
-		s.Simulations(), s.Builds(), s.BuildTime().Round(time.Millisecond),
+	return fmt.Sprintf("%d simulations, %d builds (%s), %d shared prefixes (%d cycles), wall %s, sim %s, effective speedup %s",
+		s.Simulations(), s.Builds(), s.BuildTime().Round(time.Millisecond), s.Prefixes(), s.prefixCycles.Load(),
 		s.Wall().Round(time.Millisecond), s.Sim().Round(time.Millisecond), sp)
 }
 
@@ -263,6 +273,11 @@ type runKey struct {
 	budget   int64
 }
 
+// key returns the memo key of w on e (with its predictor named).
+func (o *Options) key(w *workload.Workload, e Engine) runKey {
+	return runKey{w.Name, w.Spec.Seed, o.Config, e, o.Budget}
+}
+
 // run is a finished simulation: its result, and its scheme (nil for the
 // baseline) for reports that read the scheme's own counters.
 type run struct {
@@ -273,12 +288,19 @@ type run struct {
 // image is one workload's program and memory image, built at most once
 // and shared by every simulation of the workload that uses it: each runs
 // on a CloneCOW of the memory. The built memory owns no page, so
-// concurrent clones of it only read it.
+// concurrent clones of it only read it. In a grid with a dormant pair,
+// pair is set while neither of the pair's runs on the workload is
+// memoized, and prefix builds their shared prefix once, under the
+// single-flight, so a failed or cancelled prefix fails both engines and is
+// never cached.
 type image struct {
 	w    *workload.Workload
 	once sync.Once
 	prog []isa.Instruction
 	mem  *isa.Memory
+
+	pair   *pair
+	prefix flight[struct{}, *prefix]
 }
 
 // build returns the image's program and frozen memory, building them
@@ -308,23 +330,121 @@ func (im *image) program() []isa.Instruction {
 	return im.w.Program()
 }
 
+// pair is a grid's baseline engine and its first dormant ACB engine, with
+// the same predictor. ACB cannot predicate before Dormant() instructions
+// retire (Dynamo's first epoch disables it), so until then its core runs
+// exactly as the baseline core: the two simulations of a workload share
+// that prefix. The prefix stops at = Dormant() − RetireWidth; RunContext
+// stops at the first cycle boundary at or past it, at most Dormant() − 1,
+// so every ShouldPredicate call of the prefix saw the dormant epoch.
+type pair struct {
+	base, acb Engine
+	at        int64
+}
+
+// dormantPair returns the grid's dormant pair: its first ACB engine that
+// is dormant for a while (core.ACB.Dormant), with a baseline engine of the
+// same predictor. It returns nil when the grid has none, or when its runs
+// end inside the prefix.
+func (o *Options) dormantPair(engines []Engine) *pair {
+	for _, a := range engines {
+		if a.Scheme != SchemeACB {
+			continue
+		}
+		at := core.New(a.ACB).Dormant() - int64(o.Config.RetireWidth)
+		if at <= 0 {
+			continue
+		}
+		if o.Budget <= at {
+			return nil
+		}
+		a = a.named()
+		for _, b := range engines {
+			if b = b.named(); b.Scheme == SchemeBaseline && b.Predictor == a.Predictor {
+				return &pair{base: b, acb: a, at: at}
+			}
+		}
+		return nil
+	}
+	return nil
+}
+
+// prefix is a dormant pair's ACB core run to pair.at and the baseline core
+// forked from it (ooo.Core.Fork). Each engine takes its own core once.
+type prefix struct {
+	mu        sync.Mutex
+	base, acb *ooo.Core  // nil once taken
+	scheme    ooo.Scheme // the ACB core's
+	cycles    int64      // the prefix's, counted once
+}
+
+// take hands the pair's ACB engine (acb) or baseline engine its core and,
+// for ACB, its scheme; a nil core means the engine runs from the start.
+func (p *prefix) take(acb bool) (*ooo.Core, ooo.Scheme) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if acb {
+		c := p.acb
+		p.acb = nil
+		return c, p.scheme
+	}
+	c := p.base
+	p.base = nil
+	return c, nil
+}
+
+// runPrefix runs img's pair's ACB engine to pair.at and forks the
+// baseline from it. A program that halts inside the prefix leaves no core
+// to continue, and both engines run from the start. The prefix's cycles
+// and time count once, here. A failed or cancelled prefix panics with the
+// wrapped error, as a simulation does.
+func (o *Options) runPrefix(img *image) *prefix {
+	start := time.Now()
+	e := img.pair.acb
+	newPredictor, newScheme, err := e.constructors(nil)
+	if err != nil {
+		panic(err)
+	}
+	prog, m := img.build(o.Stats)
+	p := &prefix{scheme: newScheme()}
+	c := ooo.NewWithMemory(o.Config, prog, newPredictor(), p.scheme, m.CloneCOW())
+	c.EnableCPIStack()
+	res, err := c.RunContext(o.Context, img.pair.at)
+	if err != nil {
+		panic(fmt.Errorf("experiments: %s/%s/%s prefix: %w", img.w.Name, e.Predictor, res.Scheme, err))
+	}
+	if !res.Halted {
+		p.base, p.acb = c.Fork(nil), c
+		p.cycles = res.Cycles
+	}
+	if o.Stats != nil {
+		if !res.Halted {
+			o.Stats.prefixes.Add(1)
+			o.Stats.prefixCycles.Add(res.Cycles)
+		}
+		o.Stats.sim.Add(int64(time.Since(start)))
+		o.Stats.cycles.Add(res.Cycles)
+	}
+	return p
+}
+
 // simulate is the one run path: every simulation of every experiment
 // runs a workload on engine e here, through the Options' memo, so a
 // simulation already run (or running) under the same key is not run
-// again. A miss builds img unless another simulation has, builds the
-// engine, runs on a CloneCOW of the image under o.Context, and counts
-// the run's cycles, CPI stack and progress. A failed or cancelled run
-// panics with the wrapped error, which runPool re-raises and Run
-// recovers, so a cancellation stays errors.Is-able.
+// again. A miss takes its core from the image's shared prefix when e is
+// one of the image's dormant pair, building the prefix if the partner has
+// not; otherwise it builds img unless another simulation has, builds the
+// engine and its core on a CloneCOW of the image. It runs the core to the
+// budget under o.Context and counts the run's cycles, CPI stack and
+// progress. A failed or cancelled run panics with the wrapped error, which
+// runPool re-raises and Run recovers, so a cancellation stays errors.Is-able.
 func (o *Options) simulate(img *image, e Engine) run {
-	if e.Predictor == "" {
-		e.Predictor = "tage"
-	}
+	e = e.named()
 	w := img.w
-	key := runKey{w.Name, w.Spec.Seed, o.Config, e, o.Budget}
-	return o.memo.runs.do(key, func() run {
+	return o.memo.runs.do(o.key(w, e), func() run {
 		// The whole computation is simulation time, as it is pool wall
-		// time: a serial run's effective speedup reads 1.
+		// time: a serial run's effective speedup reads 1. A shared prefix
+		// counts once, in runPrefix, so the wait for it does not count.
 		start := time.Now()
 		newPredictor, newScheme, err := e.constructors(func() []dmp.Candidate {
 			return o.memo.profiles.do(profileKey{w.Name, w.Spec.Seed}, func() []dmp.Candidate { return profile(w) })
@@ -332,10 +452,23 @@ func (o *Options) simulate(img *image, e Engine) run {
 		if err != nil {
 			panic(err)
 		}
-		p, m := img.build(o.Stats)
-		scheme := newScheme()
-		c := ooo.NewWithMemory(o.Config, p, newPredictor(), scheme, m.CloneCOW())
-		c.EnableCPIStack()
+		var c *ooo.Core
+		var scheme ooo.Scheme
+		var shared int64 // the prefix's cycles, counted in runPrefix
+		if pr := img.pair; pr != nil && (e == pr.base || e == pr.acb) {
+			wait := time.Now()
+			p := img.prefix.do(struct{}{}, func() *prefix { return o.runPrefix(img) })
+			start = start.Add(time.Since(wait))
+			if c, scheme = p.take(e == pr.acb); c != nil {
+				shared = p.cycles
+			}
+		}
+		if c == nil {
+			p, m := img.build(o.Stats)
+			scheme = newScheme()
+			c = ooo.NewWithMemory(o.Config, p, newPredictor(), scheme, m.CloneCOW())
+			c.EnableCPIStack()
+		}
 		res, err := c.RunContext(o.Context, o.Budget)
 		if err != nil {
 			panic(fmt.Errorf("experiments: %s/%s/%s: %w", w.Name, e.Predictor, res.Scheme, err))
@@ -343,7 +476,7 @@ func (o *Options) simulate(img *image, e Engine) run {
 		if o.Stats != nil {
 			o.Stats.sims.Add(1)
 			o.Stats.sim.Add(int64(time.Since(start)))
-			o.Stats.cycles.Add(res.Cycles)
+			o.Stats.cycles.Add(res.Cycles - shared)
 		}
 		if o.CPIStats != nil {
 			o.CPIStats.Add(res.Scheme, res.CPI)
@@ -357,12 +490,20 @@ func (o *Options) simulate(img *image, e Engine) run {
 // returns the runs indexed [workload][engine]. A workload's engines share
 // one image, built by the first of them to miss the memo and dropped
 // after the last, so no more images are alive than workloads in flight.
+// A grid with a dormant pair shares each workload's prefix between the
+// pair's two runs, unless one of them is memoized already; the prefix is
+// dropped with the image.
 func runGrid(opts *Options, ws []workload.Workload, engines []Engine) [][]run {
 	ne := len(engines)
+	pr := opts.dormantPair(engines)
 	images := make([]*image, len(ws))
 	left := make([]atomic.Int32, len(ws)) // engines yet to finish
 	for i := range ws {
 		images[i] = &image{w: &ws[i]}
+		if pr != nil && !opts.memo.runs.has(opts.key(&ws[i], pr.base)) &&
+			!opts.memo.runs.has(opts.key(&ws[i], pr.acb)) {
+			images[i].pair = pr
+		}
 		left[i].Store(int32(ne))
 	}
 	flat := make([]run, len(ws)*ne)

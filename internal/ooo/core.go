@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"acb/internal/bpu"
 	"acb/internal/config"
@@ -264,8 +265,6 @@ type Core struct {
 	pipe  *PipeStats
 	cpi   *CPIStack
 	trace *TraceRing
-
-	epochRetireBase int64
 }
 
 // BranchStat aggregates retired-branch behaviour per static branch PC.
@@ -453,10 +452,14 @@ func ceilPow2(n int) int {
 // ErrDeadlock is returned when the pipeline makes no forward progress.
 var ErrDeadlock = errors.New("ooo: pipeline deadlock")
 
-// ctxCheckInterval is how many cycles elapse between context-cancellation
-// polls in RunContext. ctx.Err() takes a mutex on derived contexts, so the
-// retire loop amortizes it; at typical simulated IPCs this bounds the
-// cancellation latency to well under a millisecond of wall time.
+// ctxCheckInterval is how many loop iterations elapse between
+// context-cancellation polls in RunContext. ctx.Err() takes a mutex on
+// derived contexts, so the loop amortizes it; on the fleet's workloads a
+// poll comes every 1.2–2.6 ms of simulation on a 2-vCPU host, which bounds
+// the cancellation latency. Each poll also yields the processor
+// (runtime.Gosched), so a goroutine waiting for a CPU, such as a server's
+// HTTP handler, waits that long rather than a scheduler preemption slice
+// (10 ms).
 const ctxCheckInterval = 1 << 12
 
 // Run simulates until the program halts or maxRetired instructions have
@@ -469,6 +472,8 @@ func (c *Core) Run(maxRetired int64) (Result, error) {
 // (or times out) mid-simulation the run stops within ctxCheckInterval
 // loop iterations and returns the statistics accumulated so far together
 // with an error wrapping ctx.Err(). A nil ctx means context.Background().
+// The run yields the processor at every poll. It may be called again to
+// continue: stopping and restarting changes no result.
 func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -486,6 +491,7 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 				return c.result(halted), fmt.Errorf("ooo: run cancelled at cycle %d (retired=%d): %w",
 					c.cycle, c.retired, err)
 			}
+			runtime.Gosched()
 		}
 		iter++
 		c.cycle++

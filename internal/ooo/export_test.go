@@ -217,3 +217,7 @@ func (c *Core) PathSnapshots() int { return len(c.snapshots) }
 // OutcomeCapacity returns the capacity of the kept-outcome buffer: the
 // most outcomes it has had to hold at once, rounded up by append.
 func (c *Core) OutcomeCapacity() int { return cap(c.outcomes) }
+
+// LiveContexts returns the number of predication contexts whose branch
+// has not retired.
+func (c *Core) LiveContexts() int { return len(c.liveCtxs) }
